@@ -16,9 +16,10 @@
 // reduced workload; set BEAMBENCH_RECORDS to raise it (the slowdown
 // factors are per-record-dominated and scale-invariant).
 //
-// Ablation benchmarks isolate the design choices DESIGN.md Section 6
-// identifies as load-bearing: Flink operator chaining, Apex buffer-
-// server emit mode, and Spark micro-batch sizing.
+// Ablation benchmarks isolate the engine mechanisms behind the slowdown
+// factors (README section "Running the benchmark"; package simcost):
+// Flink operator chaining, Apex buffer-server emit mode, and Spark
+// micro-batch sizing.
 package beambench_test
 
 import (

@@ -38,11 +38,50 @@ func EventTime(rec []byte) (time.Time, error) {
 	if col == nil {
 		return time.Time{}, fmt.Errorf("queries: record %.40q has no query-time column", rec)
 	}
+	if t, ok := parseEventTime(col); ok {
+		return t, nil
+	}
 	t, err := time.Parse(eventTimeLayout, string(col))
 	if err != nil {
 		return time.Time{}, fmt.Errorf("queries: query time: %w", err)
 	}
 	return t, nil
+}
+
+// parseEventTime parses the exact eventTimeLayout form
+// "YYYY-MM-DD hh:mm:ss" without allocating. It reports false for any
+// other input, including an out-of-range field or a day past the end of
+// its month, and leaves those to time.Parse, whose lenient forms (a
+// one-digit hour, fractional seconds) and error messages then apply.
+func parseEventTime(b []byte) (time.Time, bool) {
+	if len(b) != len(eventTimeLayout) || b[4] != '-' || b[7] != '-' || b[10] != ' ' || b[13] != ':' || b[16] != ':' {
+		return time.Time{}, false
+	}
+	year, ok1 := digits(b[0:4])
+	month, ok2 := digits(b[5:7])
+	day, ok3 := digits(b[8:10])
+	hour, ok4 := digits(b[11:13])
+	minute, ok5 := digits(b[14:16])
+	sec, ok6 := digits(b[17:19])
+	if !(ok1 && ok2 && ok3 && ok4 && ok5 && ok6) ||
+		month < 1 || month > 12 || day < 1 || day > 31 || hour > 23 || minute > 59 || sec > 59 {
+		return time.Time{}, false
+	}
+	t := time.Date(year, time.Month(month), day, hour, minute, sec, 0, time.UTC)
+	// time.Date normalizes Feb 30 to Mar 2; time.Parse rejects it.
+	return t, t.Day() == day
+}
+
+// digits parses b as an unsigned decimal of digits only.
+func digits(b []byte) (int, bool) {
+	n := 0
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n, true
 }
 
 // nthColumn returns the record's n-th (0-based) tab-separated column

@@ -52,6 +52,38 @@ func TestEventTimeMatchesGeneratorStep(t *testing.T) {
 	}
 }
 
+// FuzzEventTime checks that EventTime, fast path included, agrees with
+// time.Parse on the query-time column for any input: the same instant
+// and location, and an error exactly when time.Parse fails.
+func FuzzEventTime(f *testing.F) {
+	f.Add("2006-03-01 00:02:05")
+	f.Fuzz(func(t *testing.T, col string) {
+		rec := []byte("12345\tweather forecast\t" + col)
+		got, gotErr := EventTime(rec)
+		want, wantErr := time.Parse(eventTimeLayout, string(nthColumn(rec, 2)))
+		if (gotErr != nil) != (wantErr != nil) {
+			t.Fatalf("EventTime(%q) err = %v, time.Parse err = %v", col, gotErr, wantErr)
+		}
+		if !got.Equal(want) || got.Location() != want.Location() {
+			t.Fatalf("EventTime(%q) = %v, time.Parse = %v", col, got, want)
+		}
+	})
+}
+
+var eventTimeSink time.Time
+
+func BenchmarkEventTime(b *testing.B) {
+	rec := []byte("12345\tweather forecast\t2006-03-01 00:02:05\t1\thttp://www.example.com/")
+	b.ReportAllocs()
+	for b.Loop() {
+		et, err := EventTime(rec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eventTimeSink = et
+	}
+}
+
 func mustEventTime(t *testing.T, rec []byte) time.Time {
 	t.Helper()
 	et, err := EventTime(rec)

@@ -77,7 +77,8 @@ type Costs struct {
 // The absolute values are chosen so that a 50k-record run finishes in
 // tens of milliseconds to a few seconds on commodity hardware while the
 // *ratios* between the twelve setups match the paper's Figures 6–9 and 11
-// (see EXPERIMENTS.md for the measured comparison).
+// (README section "Running the benchmark": `-figure 11` prints the
+// measured ratios).
 func DefaultCosts() Costs {
 	return Costs{
 		BrokerProduceBatch:     60 * time.Microsecond,

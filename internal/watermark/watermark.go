@@ -39,8 +39,7 @@
 // panes in a deterministic order once the watermark passes a window's
 // end; NumAcc with an AggKind (agg.go) provides the numeric aggregates
 // (count, sum, min, max, avg) the windowed queries compose with it.
-// TumblingState (state.go) remains as the one-window fast path. The
-// engines' windowed operators and the Beam runners' GroupByKey
+// The engines' windowed operators and the Beam runners' GroupByKey
 // translation are thin wrappers around these.
 package watermark
 

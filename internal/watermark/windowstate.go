@@ -6,10 +6,19 @@ import (
 	"time"
 )
 
+// Pane is one fired (window, key) aggregate.
+type Pane[T any] struct {
+	// Start and End bound the window: [Start, End).
+	Start, End time.Time
+	// Key is the pane's grouping key.
+	Key string
+	// Acc is the final accumulator value.
+	Acc T
+}
+
 // WindowState accumulates per-(window, key) state under any Assigner
-// and fires panes once the watermark passes a window's end. It is the
-// generalization of the original tumbling-only state: tumbling windows
-// assign each record to one pane, sliding windows to several
+// and fires panes once the watermark passes a window's end: tumbling
+// windows assign each record to one pane, sliding windows to several
 // overlapping panes, and session windows to a key-local pane that
 // merges with overlapping sessions as records arrive (in any order).
 //
@@ -24,11 +33,11 @@ type WindowState[T any] struct {
 	assigner Assigner
 	merge    func(into *T, from T)
 
-	// Non-merging representation: shared windows keyed by span.
+	// Non-merging representation: shared windows keyed by span, and
+	// their spans in a min-heap by (end, start). A watermark that
+	// releases nothing costs one comparison, each fired window one pop.
 	windows map[Span]*windowGroup[T]
-	// spans tracks the open windows; kept sorted lazily at fire time
-	// (the open set is tiny: a few windows per slide step).
-	spans []Span
+	open    spanHeap
 
 	// Merging representation: per-key session intervals.
 	sessions map[string][]*session[T]
@@ -36,10 +45,47 @@ type WindowState[T any] struct {
 	nextRank int
 }
 
+// linearKeys is the most keys a window looks up by linear scan; a
+// window with more builds a map index.
+const linearKeys = 8
+
 // windowGroup is one window's keyed accumulators in first-seen order.
+// Panes before the fired cursor have been emitted.
 type windowGroup[T any] struct {
-	byKey map[string]*T
-	order []string
+	keys  []string
+	accs  []T
+	fired int
+	index map[string]int // nil until the window holds more than linearKeys keys
+}
+
+// slot returns the index of key's unfired accumulator, appending a zero
+// one when the key has none. A key whose pane already fired (before an
+// emit error stopped the window) starts a new pane, as if its old one
+// had been removed.
+func (g *windowGroup[T]) slot(key string) int {
+	if g.index == nil {
+		for i := g.fired; i < len(g.keys); i++ {
+			if g.keys[i] == key {
+				return i
+			}
+		}
+	} else if i, ok := g.index[key]; ok && i >= g.fired {
+		return i
+	}
+	i := len(g.keys)
+	g.keys = append(g.keys, key)
+	var zero T
+	g.accs = append(g.accs, zero)
+	switch {
+	case g.index != nil:
+		g.index[key] = i
+	case len(g.keys) > linearKeys:
+		g.index = make(map[string]int, 2*len(g.keys))
+		for j := g.fired; j < len(g.keys); j++ {
+			g.index[g.keys[j]] = j
+		}
+	}
+	return i
 }
 
 // session is one key's merged interval and accumulator.
@@ -74,6 +120,8 @@ func (s *WindowState[T]) Assigner() Assigner { return s.assigner }
 // t for the given key, creating zero accumulators for new (window, key)
 // pairs. Under a merging assigner the record's proto-session first
 // coalesces with every overlapping or abutting session of the same key.
+// The *T passed to update is valid only during the call: the state may
+// move its accumulators afterwards.
 func (s *WindowState[T]) Upsert(t time.Time, key string, update func(*T)) {
 	if s.assigner.Merges() {
 		s.upsertSession(t, key, update)
@@ -82,17 +130,11 @@ func (s *WindowState[T]) Upsert(t time.Time, key string, update func(*T)) {
 	for _, span := range s.assigner.Assign(t) {
 		g, ok := s.windows[span]
 		if !ok {
-			g = &windowGroup[T]{byKey: make(map[string]*T)}
+			g = &windowGroup[T]{}
 			s.windows[span] = g
-			s.spans = append(s.spans, span)
+			s.open.push(span)
 		}
-		acc, ok := g.byKey[key]
-		if !ok {
-			acc = new(T)
-			g.byKey[key] = acc
-			g.order = append(g.order, key)
-		}
-		update(acc)
+		update(&g.accs[g.slot(key)])
 	}
 }
 
@@ -136,42 +178,26 @@ func (s *WindowState[T]) FireReady(w time.Time, emit func(Pane[T]) error) error 
 	if s.assigner.Merges() {
 		return s.fireSessions(w, emit)
 	}
-	if len(s.spans) == 0 {
-		return nil
-	}
-	sort.Slice(s.spans, func(i, j int) bool {
-		if !s.spans[i].End.Equal(s.spans[j].End) {
-			return s.spans[i].End.Before(s.spans[j].End)
-		}
-		return s.spans[i].Start.Before(s.spans[j].Start)
-	})
-	for len(s.spans) > 0 {
-		span := s.spans[0]
-		if w.Before(span.End) {
-			break
-		}
-		// Trim before-or-never: the span must leave the slice exactly
-		// when its window leaves the map, or an emit error in a LATER
-		// window would leave this (already fired and deleted) window's
-		// span behind and a retry would dereference its nil group.
+	for len(s.open) > 0 && !w.Before(s.open[0].End) {
+		span := s.open[0]
+		// A span leaves the heap only after its window fired every pane
+		// and left the map, so after an emit error a retry resumes the
+		// same window at its first unfired pane.
 		if err := s.fireWindow(span, emit); err != nil {
 			return err
 		}
-		s.spans = s.spans[1:]
+		s.open.pop()
 	}
 	return nil
 }
 
 func (s *WindowState[T]) fireWindow(span Span, emit func(Pane[T]) error) error {
 	g := s.windows[span]
-	for len(g.order) > 0 {
-		key := g.order[0]
-		p := Pane[T]{Start: span.Start, End: span.End, Key: key, Acc: *g.byKey[key]}
+	for ; g.fired < len(g.keys); g.fired++ {
+		p := Pane[T]{Start: span.Start, End: span.End, Key: g.keys[g.fired], Acc: g.accs[g.fired]}
 		if err := emit(p); err != nil {
 			return err // unfired keys stay in place for the caller's error path
 		}
-		g.order = g.order[1:]
-		delete(g.byKey, key)
 	}
 	delete(s.windows, span)
 	return nil
@@ -237,4 +263,53 @@ func (s *WindowState[T]) Open() int {
 		return n
 	}
 	return len(s.windows)
+}
+
+// spanHeap is a binary min-heap of window spans ordered by (End, Start).
+// It is typed rather than built on container/heap, whose Push and Pop
+// box each Span in an interface and so allocate.
+type spanHeap []Span
+
+func spanLess(a, b Span) bool {
+	if c := a.End.Compare(b.End); c != 0 {
+		return c < 0
+	}
+	return a.Start.Before(b.Start)
+}
+
+func (h *spanHeap) push(span Span) {
+	q := append(*h, span)
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !spanLess(q[i], q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+	*h = q
+}
+
+// pop removes the minimum span.
+func (h *spanHeap) pop() {
+	q := *h
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = Span{} // release the location pointers
+	q = q[:n]
+	for i := 0; ; {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && spanLess(q[r], q[child]) {
+			child = r
+		}
+		if !spanLess(q[child], q[i]) {
+			break
+		}
+		q[i], q[child] = q[child], q[i]
+		i = child
+	}
+	*h = q
 }
