@@ -31,12 +31,13 @@
 // key) panes in a deterministic order — ascending window, keys first
 // seen first — as soon as the watermark passes a window's end.
 //
-// Each engine flushes panes at its natural clock: Flink tuple-at-a-time
-// (DataStream.TumblingCountWindow behind KeyBy), Spark Streaming at
-// micro-batch boundaries (DStream.ReduceByKeyAndWindow, a keyed state
-// path persisting across batches; RepartitionByKey reunites keys above
-// parallelism 1), Apex at streaming-window boundaries (the
-// TumblingCountWindow operator behind SetStreamKeyed keyed streams).
+// The native stateful queries share one keyed executor per query in
+// internal/queries, and each engine fires its panes at its natural
+// clock: Flink tuple-at-a-time (DataStream.ProcessWithWatermark behind
+// KeyBy), Spark Streaming at micro-batch boundaries (DStream.Stateful, a
+// keyed state path persisting across batches; RepartitionByKey reunites
+// keys above parallelism 1), Apex at streaming-window boundaries (a
+// watermark-aware operator behind SetStreamKeyed keyed streams).
 // The Beam runners all deploy the shared executable graphx.GBKState for
 // GroupByKey — the Spark runner's paper-era stateful rejection
 // (ErrStatefulUnsupported) is lifted. Capability gaps that remain (e.g.

@@ -43,14 +43,16 @@ import (
 )
 
 // Scope covers the code records flow through: the three engine
-// runtimes, the beam SDK (coders, graphx, runners), the metrics hot
-// hooks, and the obs layer (its gauge setters and snapshot readers sit
-// next to per-record marking; scrape-path allocations must be
-// deliberate and annotated).
+// runtimes, the native query executors they deploy (internal/queries),
+// the beam SDK (coders, graphx, runners), the metrics hot hooks, and
+// the obs layer (its gauge setters and snapshot readers sit next to
+// per-record marking; scrape-path allocations must be deliberate and
+// annotated).
 var Scope = []string{
 	"internal/flink",
 	"internal/spark",
 	"internal/apex",
+	"internal/queries",
 	"internal/beam",
 	"internal/metrics",
 	"internal/obs",

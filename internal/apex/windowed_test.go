@@ -1,12 +1,14 @@
 package apex
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"beambench/internal/watermark"
 	"beambench/internal/yarn"
 )
 
@@ -29,8 +31,51 @@ func winKey(t []byte) ([]byte, error) {
 	return t[i+1:], nil
 }
 
-func winFormat(start time.Time, key []byte, count int64) []byte {
-	return []byte(fmt.Sprintf("%d:%s=%d", start.Sub(winEpoch)/time.Second, key, count))
+// keyedCount is a test-local keyed count over 1s tumbling windows on the
+// generic watermark-aware hooks: panes fire off the combined input
+// watermark and drain at end of stream, rendered "sec:key=count".
+type keyedCount struct {
+	state *watermark.WindowState[int64]
+}
+
+func newKeyedCount(OperatorContext) (GenericOperator, error) {
+	a, err := watermark.NewTumblingAssigner(time.Second)
+	if err != nil {
+		return nil, err
+	}
+	state, err := watermark.NewWindowState[int64](a, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &keyedCount{state: state}, nil
+}
+
+func (c *keyedCount) Process(t []byte, _ func([]byte) error) error {
+	et, err := winEventTime(t)
+	if err != nil {
+		return err
+	}
+	key, _ := winKey(t)
+	c.state.Upsert(et, string(key), func(n *int64) { *n++ })
+	return nil
+}
+
+// OnWatermark implements WatermarkAware.
+func (c *keyedCount) OnWatermark(w time.Time, emit func([]byte) error) error {
+	return c.state.FireReady(w, countPane(emit))
+}
+
+// EndStream implements StreamFlusher.
+func (c *keyedCount) EndStream(emit func([]byte) error) error {
+	return c.state.FireAll(countPane(emit))
+}
+
+func (c *keyedCount) Teardown() error { return nil }
+
+func countPane(emit func([]byte) error) func(watermark.Pane[int64]) error {
+	return func(p watermark.Pane[int64]) error {
+		return emit([]byte(fmt.Sprintf("%d:%s=%d", p.Start.Sub(winEpoch)/time.Second, p.Key, p.Acc)))
+	}
 }
 
 func runWindowedApp(t *testing.T, input [][]byte, parallelism, windowTuples int) []string {
@@ -46,7 +91,7 @@ func runWindowedApp(t *testing.T, input [][]byte, parallelism, windowTuples int)
 	app := NewApplication("windowed")
 	app.AddInput("in", SliceInput(input))
 	app.AddOperator("assign", AssignTimestamps(winEventTime, 0))
-	app.AddOperator("count", TumblingCountWindow(time.Second, winEventTime, winKey, winFormat))
+	app.AddOperator("count", newKeyedCount)
 	app.AddOutput("out", CollectOutput(collector))
 	app.AddStream("s0", "in", "assign")
 	app.AddStream("s1", "assign", "count")
@@ -63,7 +108,7 @@ func runWindowedApp(t *testing.T, input [][]byte, parallelism, windowTuples int)
 	return collector.Strings()
 }
 
-func TestTumblingCountWindowCountsPerWindowAndKey(t *testing.T) {
+func TestKeyedWindowCountsPerWindowAndKey(t *testing.T) {
 	input := [][]byte{
 		windowedTuple(0, "a"),
 		windowedTuple(0, "b"),
@@ -78,11 +123,11 @@ func TestTumblingCountWindowCountsPerWindowAndKey(t *testing.T) {
 	}
 }
 
-// TestTumblingCountWindowFiresOnStreamingWindowBoundary pins the
-// EndWindow flush: with a 2-tuple streaming window, the pane of an
+// TestKeyedWindowFiresOnStreamingWindowBoundary pins the EndWindow
+// flush: with a 2-tuple streaming window, the pane of an
 // already-passed event-time window must be published at the next window
 // boundary, before the input ends.
-func TestTumblingCountWindowFiresOnStreamingWindowBoundary(t *testing.T) {
+func TestKeyedWindowFiresOnStreamingWindowBoundary(t *testing.T) {
 	input := [][]byte{
 		windowedTuple(0, "a"),
 		windowedTuple(1, "a"), // watermark passes window 0 here
@@ -96,9 +141,9 @@ func TestTumblingCountWindowFiresOnStreamingWindowBoundary(t *testing.T) {
 	}
 }
 
-// TestTumblingCountWindowKeyedPartitioning checks that keyed stream
+// TestKeyedWindowPartitioning checks that keyed stream
 // routing keeps every (window, key) pane whole at parallelism 2.
-func TestTumblingCountWindowKeyedPartitioning(t *testing.T) {
+func TestKeyedWindowPartitioning(t *testing.T) {
 	var input [][]byte
 	for i := range 80 {
 		input = append(input, windowedTuple(i/20, fmt.Sprintf("k%d", i%4)))
@@ -166,13 +211,13 @@ func (o chanOutput) Process(t []byte) error { o.ch <- string(t); return nil }
 func (o chanOutput) EndWindow() error       { return nil }
 func (o chanOutput) Teardown() error        { return nil }
 
-// TestTumblingCountWindowFiresPerPaneAtP2 pins per-pane firing under
+// TestKeyedWindowFiresPerPaneAtP2 pins per-pane firing under
 // parallelism 2: once the propagated (min-over-senders) watermark has
 // passed a window's end, its pane must publish while the input is still
 // running. The input withholds its final record until the first pane
 // reaches the sink — under the old conservative fallback (panes fire
 // only at end of input at P>1) this test times out instead.
-func TestTumblingCountWindowFiresPerPaneAtP2(t *testing.T) {
+func TestKeyedWindowFiresPerPaneAtP2(t *testing.T) {
 	cluster, err := yarn.NewCluster(yarn.ClusterConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +242,7 @@ func TestTumblingCountWindowFiresPerPaneAtP2(t *testing.T) {
 		}, nil
 	})
 	app.AddOperator("assign", AssignTimestamps(winEventTime, 0))
-	app.AddOperator("count", TumblingCountWindow(time.Second, winEventTime, winKey, winFormat))
+	app.AddOperator("count", newKeyedCount)
 	app.AddOutput("out", func(OperatorContext) (OutputOperator, error) {
 		return chanOutput{ch: fired}, nil
 	})
@@ -223,26 +268,28 @@ func TestTumblingCountWindowFiresPerPaneAtP2(t *testing.T) {
 	}
 }
 
-func TestTumblingCountWindowValidation(t *testing.T) {
+// TestOperatorFactoryErrorFailsApplication pins that an operator which
+// cannot be constructed fails the application.
+func TestOperatorFactoryErrorFailsApplication(t *testing.T) {
 	cluster, err := yarn.NewCluster(yarn.ClusterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cluster.Start()
 	t.Cleanup(cluster.Stop)
-	collector := NewTupleCollector()
+	boom := errors.New("boom")
 	app := NewApplication("bad")
 	app.AddInput("in", SliceInput([][]byte{windowedTuple(0, "a")}))
-	app.AddOperator("count", TumblingCountWindow(0, winEventTime, winKey, winFormat))
-	app.AddOutput("out", CollectOutput(collector))
+	app.AddOperator("count", func(OperatorContext) (GenericOperator, error) { return nil, boom })
+	app.AddOutput("out", CollectOutput(NewTupleCollector()))
 	app.AddStream("s1", "in", "count")
 	app.AddStream("s2", "count", "out")
 	stram, err := Launch(cluster, app, LaunchConfig{})
 	if err == nil {
 		_, err = stram.Await()
 	}
-	if err == nil {
-		t.Error("zero window size accepted")
+	if !errors.Is(err, boom) {
+		t.Errorf("Launch/Await = %v, want boom", err)
 	}
 }
 

@@ -13,8 +13,8 @@
 //     independent of any engine-reported metrics.
 //
 // Producers batch by size with configurable acknowledgment levels;
-// consumers poll by explicit partition assignment or via a minimal
-// consumer-group coordinator. Per-call charges follow the simcost model.
+// consumers poll by explicit partition assignment. Per-call charges
+// follow the simcost model.
 package broker
 
 import (
@@ -111,7 +111,6 @@ type Broker struct {
 
 	mu     sync.RWMutex
 	topics map[string]*topic
-	groups map[string]*group
 	closed bool
 	now    func() time.Time
 }
@@ -149,7 +148,6 @@ func WithClock(now func() time.Time) Option {
 func New(opts ...Option) *Broker {
 	b := &Broker{
 		topics: make(map[string]*topic),
-		groups: make(map[string]*group),
 		now:    time.Now,
 	}
 	for _, o := range opts {

@@ -1,10 +1,13 @@
 package flink
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"beambench/internal/watermark"
 )
 
 var winEpoch = time.Date(2006, time.March, 1, 0, 0, 0, 0, time.UTC)
@@ -14,31 +17,54 @@ func windowedRecord(sec int, key string) []byte {
 	return []byte(fmt.Sprintf("%d|%s", sec, key))
 }
 
-func testWindowConfig() WindowConfig {
-	return WindowConfig{
-		Size: time.Second,
-		EventTime: func(rec []byte) (time.Time, error) {
-			var sec int
-			if _, err := fmt.Sscanf(string(rec), "%d|", &sec); err != nil {
-				return time.Time{}, err
-			}
-			return winEpoch.Add(time.Duration(sec) * time.Second), nil
-		},
-		Key: func(rec []byte) ([]byte, error) {
-			i := strings.IndexByte(string(rec), '|')
-			return rec[i+1:], nil
-		},
-		Format: func(start time.Time, key []byte, count int64) []byte {
-			return []byte(fmt.Sprintf("%d:%s=%d", start.Sub(winEpoch)/time.Second, key, count))
-		},
+func winEventTime(rec []byte) (time.Time, error) {
+	var sec int
+	if _, err := fmt.Sscanf(string(rec), "%d|", &sec); err != nil {
+		return time.Time{}, err
 	}
+	return winEpoch.Add(time.Duration(sec) * time.Second), nil
 }
 
-func TestTumblingCountWindowCountsPerWindowAndKey(t *testing.T) {
+func winKey(rec []byte) ([]byte, error) {
+	i := strings.IndexByte(string(rec), '|')
+	return rec[i+1:], nil
+}
+
+// keyedCount is a test-local keyed count over 1s tumbling windows on the
+// generic watermark-aware hook: panes fire off the propagated watermark
+// and flush at end of input, rendered "sec:key=count".
+func keyedCount(OperatorContext) (ProcessFunc, WatermarkFunc, FlushFunc, error) {
+	a, err := watermark.NewTumblingAssigner(time.Second)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	state, err := watermark.NewWindowState[int64](a, nil)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	pane := func(out Collector) func(watermark.Pane[int64]) error {
+		return func(p watermark.Pane[int64]) error {
+			return out.Collect([]byte(fmt.Sprintf("%d:%s=%d", p.Start.Sub(winEpoch)/time.Second, p.Key, p.Acc)))
+		}
+	}
+	process := func(rec []byte, _ Collector) error {
+		et, err := winEventTime(rec)
+		if err != nil {
+			return err
+		}
+		key, _ := winKey(rec)
+		state.Upsert(et, string(key), func(n *int64) { *n++ })
+		return nil
+	}
+	onWatermark := func(w time.Time, out Collector) error { return state.FireReady(w, pane(out)) }
+	flush := func(out Collector) error { return state.FireAll(pane(out)) }
+	return process, onWatermark, flush, nil
+}
+
+func TestKeyedWindowCountsPerWindowAndKey(t *testing.T) {
 	cluster := newTestCluster(t, ClusterConfig{})
 	env := NewEnvironment(cluster)
 	sink := NewRecordCollector()
-	cfg := testWindowConfig()
 
 	input := [][]byte{
 		windowedRecord(0, "a"),
@@ -48,9 +74,9 @@ func TestTumblingCountWindowCountsPerWindowAndKey(t *testing.T) {
 		windowedRecord(2, "b"), // closes window 1
 	}
 	env.AddSource("src", SliceSource(input)).
-		AssignTimestampsBounded("assign", cfg.EventTime, 0).
-		KeyBy(cfg.Key).
-		TumblingCountWindow("WindowedCount", cfg).
+		AssignTimestampsBounded("assign", winEventTime, 0).
+		KeyBy(winKey).
+		ProcessWithWatermark("WindowedCount", keyedCount).
 		AddSink("sink", CollectSink(sink))
 	if _, err := env.Execute("windowed"); err != nil {
 		t.Fatal(err)
@@ -62,24 +88,19 @@ func TestTumblingCountWindowCountsPerWindowAndKey(t *testing.T) {
 	}
 }
 
-// TestTumblingCountWindowFiresBeforeEndOfInput pins watermark-driven
-// firing: a pane whose window the watermark passed must be emitted by
-// the operator while the source is still running, not buffered to the
-// final flush.
-func TestTumblingCountWindowFiresBeforeEndOfInput(t *testing.T) {
+// TestKeyedWindowFiresBeforeEndOfInput pins watermark-driven firing: a
+// pane whose window the watermark passed must be emitted by the operator
+// while the source is still running, not buffered to the final flush.
+func TestKeyedWindowFiresBeforeEndOfInput(t *testing.T) {
 	cluster := newTestCluster(t, ClusterConfig{})
 	env := NewEnvironment(cluster)
 	sink := NewRecordCollector()
-	cfg := testWindowConfig()
 
-	// Tag panes with a downstream marker counting how many records the
-	// sink saw before the stateful operator's flush could have run: the
-	// early pane must arrive while records still flow.
 	input := [][]byte{windowedRecord(0, "a"), windowedRecord(5, "a")}
 	env.AddSource("src", SliceSource(input)).
-		AssignTimestampsBounded("assign", cfg.EventTime, 0).
-		KeyBy(cfg.Key).
-		TumblingCountWindow("WindowedCount", cfg).
+		AssignTimestampsBounded("assign", winEventTime, 0).
+		KeyBy(winKey).
+		ProcessWithWatermark("WindowedCount", keyedCount).
 		AddSink("sink", CollectSink(sink))
 	if _, err := env.Execute("early"); err != nil {
 		t.Fatal(err)
@@ -91,20 +112,19 @@ func TestTumblingCountWindowFiresBeforeEndOfInput(t *testing.T) {
 	}
 }
 
-func TestTumblingCountWindowKeyedParallelism(t *testing.T) {
+func TestKeyedWindowParallelism(t *testing.T) {
 	cluster := newTestCluster(t, ClusterConfig{})
 	env := NewEnvironment(cluster)
 	sink := NewRecordCollector()
-	cfg := testWindowConfig()
 
 	var input [][]byte
 	for i := range 60 {
 		input = append(input, windowedRecord(i/10, fmt.Sprintf("k%d", i%5)))
 	}
 	env.AddSource("src", SliceSource(input)).
-		AssignTimestampsBounded("assign", cfg.EventTime, 0).
-		KeyBy(cfg.Key).
-		TumblingCountWindow("WindowedCount", cfg).SetParallelism(3).
+		AssignTimestampsBounded("assign", winEventTime, 0).
+		KeyBy(winKey).
+		ProcessWithWatermark("WindowedCount", keyedCount).SetParallelism(3).
 		AddSink("sink", CollectSink(sink))
 	if _, err := env.Execute("windowed-p3"); err != nil {
 		t.Fatal(err)
@@ -128,25 +148,18 @@ func TestTumblingCountWindowKeyedParallelism(t *testing.T) {
 	}
 }
 
-func TestTumblingCountWindowConfigValidation(t *testing.T) {
-	for name, mutate := range map[string]func(*WindowConfig){
-		"zero size":     func(c *WindowConfig) { c.Size = 0 },
-		"nil eventtime": func(c *WindowConfig) { c.EventTime = nil },
-		"nil key":       func(c *WindowConfig) { c.Key = nil },
-		"nil format":    func(c *WindowConfig) { c.Format = nil },
-	} {
-		t.Run(name, func(t *testing.T) {
-			cluster := newTestCluster(t, ClusterConfig{})
-			env := NewEnvironment(cluster)
-			sink := NewRecordCollector()
-			cfg := testWindowConfig()
-			mutate(&cfg)
-			env.AddSource("src", SliceSource(records(1))).
-				TumblingCountWindow("w", cfg).
-				AddSink("sink", CollectSink(sink))
-			if _, err := env.Execute("bad"); err == nil {
-				t.Error("invalid window config accepted")
-			}
-		})
+// TestProcessWithWatermarkFactoryErrorFailsJob pins that a stateful
+// operator which cannot be constructed fails the job.
+func TestProcessWithWatermarkFactoryErrorFailsJob(t *testing.T) {
+	cluster := newTestCluster(t, ClusterConfig{})
+	env := NewEnvironment(cluster)
+	boom := errors.New("boom")
+	env.AddSource("src", SliceSource(records(1))).
+		ProcessWithWatermark("w", func(OperatorContext) (ProcessFunc, WatermarkFunc, FlushFunc, error) {
+			return nil, nil, nil, boom
+		}).
+		AddSink("sink", CollectSink(NewRecordCollector()))
+	if _, err := env.Execute("bad"); !errors.Is(err, boom) {
+		t.Errorf("Execute = %v, want boom", err)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"beambench/internal/broker"
 	"beambench/internal/flink"
 	"beambench/internal/spark"
-	"beambench/internal/watermark"
 )
 
 // Workload names the broker topics a query reads and writes, plus the
@@ -63,32 +62,19 @@ func NativeFlink(env *flink.Environment, w Workload, q Query) error {
 	case WindowedCount:
 		// Timestamp assignment stamps watermarks where event time enters
 		// the dataflow; KeyBy routes each user's records to one subtask of
-		// the windowed reduce operator, whose panes fire off the
-		// propagated (min-over-senders) watermark and flush at end of
-		// input.
+		// the windowed aggregate, whose panes fire off the propagated
+		// (min-over-senders) watermark and flush at end of input.
 		out = src.
 			AssignTimestampsBounded("Timestamps/Watermarks", EventTime, WindowedCountBound).
 			KeyBy(UserKey).
-			TumblingCountWindow("WindowedCount", flink.WindowConfig{
-				Size:      WindowedCountWindow,
-				EventTime: EventTime,
-				Key:       UserKey,
-				Format:    FormatWindowedCount,
-			})
+			ProcessWithWatermark("WindowedCount", flinkKeyed(newWindowedCountState))
 	case SlidingSum:
 		// Same dataflow as WindowedCount with an overlapping window
 		// assigner and a sum aggregate over the item-rank column.
 		out = src.
 			AssignTimestampsBounded("Timestamps/Watermarks", EventTime, SlidingSumBound).
 			KeyBy(UserKey).
-			AggWindow("SlidingSum", flink.WindowConfig{
-				Assigner:  slidingSumAssigner(),
-				Agg:       watermark.AggSum,
-				Value:     ItemRank,
-				EventTime: EventTime,
-				Key:       UserKey,
-				Format:    FormatSlidingSum,
-			})
+			ProcessWithWatermark("SlidingSum", flinkKeyed(newSlidingSumState))
 	case Join:
 		// Two branches over the same topic, each tagged and timestamped
 		// BEFORE the union: assigning after the merge would observe the
@@ -106,7 +92,7 @@ func NativeFlink(env *flink.Environment, w Workload, q Query) error {
 			AssignTimestampsBounded("Timestamps/Watermarks B", TaggedEventTime, JoinBound)
 		out = a.Union("Union", b).
 			KeyBy(TaggedUserKey).
-			ProcessWithWatermark("Join", joinFlinkFactory())
+			ProcessWithWatermark("Join", flinkKeyed(newJoinState))
 	default:
 		return fmt.Errorf("queries: unknown query %d", q)
 	}
@@ -114,13 +100,27 @@ func NativeFlink(env *flink.Environment, w Workload, q Query) error {
 	return nil
 }
 
-// joinFlinkFactory deploys the shared join executable behind Flink's
-// watermark-aware process hook: one state instance per subtask, panes
-// firing off the propagated (min-over-senders) watermark.
-func joinFlinkFactory() flink.WatermarkedProcessFactory {
+// keyedState is the engine-shared stateful executable of the windowed
+// queries (aggState for WindowedCount and SlidingSum, joinState for
+// Join): Process accumulates a record into its (window, user) panes,
+// Fire emits every pane the watermark has passed, and Flush drains the
+// rest at end of input. Each engine deploys it through one adapter on
+// its generic stateful hook (flinkKeyed, sparkKeyed, apexKeyed), so the
+// engines differ only in when they call Fire: per watermark advance in
+// Flink and Apex, per micro-batch boundary in Spark.
+type keyedState interface {
+	Process(rec []byte) error
+	Fire(w time.Time, emit func([]byte) error) error
+	Flush(emit func([]byte) error) error
+}
+
+// flinkKeyed deploys a keyed state behind Flink's watermark-aware
+// process hook: one state instance per subtask, panes firing off the
+// propagated (min-over-senders) watermark.
+func flinkKeyed(newState func() keyedState) flink.WatermarkedProcessFactory {
 	return func(flink.OperatorContext) (flink.ProcessFunc, flink.WatermarkFunc, flink.FlushFunc, error) {
-		s := NewJoinState()
-		process := func(rec []byte, _ flink.Collector) error { return s.Add(rec) }
+		s := newState()
+		process := func(rec []byte, _ flink.Collector) error { return s.Process(rec) }
 		onWatermark := func(wm time.Time, out flink.Collector) error { return s.Fire(wm, out.Collect) }
 		flush := func(out flink.Collector) error { return s.Flush(out.Collect) }
 		return process, onWatermark, flush, nil
@@ -159,19 +159,11 @@ func NativeSpark(ssc *spark.StreamingContext, w Workload, q Query) error {
 		// per-stage throughput report unambiguous).
 		out = src.
 			AssignTimestampsBounded(EventTime, WindowedCountBound).
-			ReduceByKeyAndWindow("ReduceByKeyAndWindow",
-				WindowedCountWindow, EventTime, UserKey, FormatWindowedCount)
+			Stateful("ReduceByKeyAndWindow", sparkKeyed(newWindowedCountState))
 	case SlidingSum:
 		out = src.
 			AssignTimestampsBounded(EventTime, SlidingSumBound).
-			AggByKeyAndWindow("AggByKeyAndWindow", spark.WindowConfig{
-				Assigner:  slidingSumAssigner(),
-				Agg:       watermark.AggSum,
-				Value:     ItemRank,
-				EventTime: EventTime,
-				Key:       UserKey,
-				Format:    FormatSlidingSum,
-			})
+			Stateful("AggByKeyAndWindow", sparkKeyed(newSlidingSumState))
 	case Join:
 		// Each branch tags and timestamps before the union; the union
 		// concatenates the branch partitions, so a keyed repartition
@@ -188,9 +180,7 @@ func NativeSpark(ssc *spark.StreamingContext, w Workload, q Query) error {
 			AssignTimestampsBounded(TaggedEventTime, JoinBound)
 		out = a.Union(b).
 			RepartitionByKey(ssc.DefaultParallelism(), TaggedUserKey).
-			Stateful("Join", func(int) (spark.StatefulProcessor, error) {
-				return &joinSparkProcessor{state: NewJoinState()}, nil
-			})
+			Stateful("Join", sparkKeyed(newJoinState))
 	default:
 		return fmt.Errorf("queries: unknown query %d", q)
 	}
@@ -198,22 +188,29 @@ func NativeSpark(ssc *spark.StreamingContext, w Workload, q Query) error {
 	return nil
 }
 
-// joinSparkProcessor deploys the shared join executable behind Spark's
-// keyed micro-batch state hook: panes fire at batch boundaries off the
-// propagated lineage watermark and flush when the input drains.
-type joinSparkProcessor struct {
-	state *JoinState
+// sparkKeyed deploys a keyed state behind Spark's micro-batch state
+// hook: one state instance per stage partition, panes firing at batch
+// boundaries off the propagated lineage watermark (TaskContext.Watermark)
+// and flushing when the input drains.
+func sparkKeyed(newState func() keyedState) spark.StatefulFactory {
+	return func(int) (spark.StatefulProcessor, error) {
+		return &sparkKeyedProcessor{state: newState()}, nil
+	}
 }
 
-func (p *joinSparkProcessor) Process(_ spark.TaskContext, rec []byte, _ func([]byte)) error {
-	return p.state.Add(rec)
+type sparkKeyedProcessor struct {
+	state keyedState
 }
 
-func (p *joinSparkProcessor) EndBatch(task spark.TaskContext, emit func([]byte)) error {
+func (p *sparkKeyedProcessor) Process(_ spark.TaskContext, rec []byte, _ func([]byte)) error {
+	return p.state.Process(rec)
+}
+
+func (p *sparkKeyedProcessor) EndBatch(task spark.TaskContext, emit func([]byte)) error {
 	return p.state.Fire(task.Watermark, func(rec []byte) error { emit(rec); return nil })
 }
 
-func (p *joinSparkProcessor) EndStream(_ spark.TaskContext, emit func([]byte)) error {
+func (p *sparkKeyedProcessor) EndStream(_ spark.TaskContext, emit func([]byte)) error {
 	return p.state.Flush(func(rec []byte) error { emit(rec); return nil })
 }
 
@@ -240,17 +237,9 @@ func NativeApex(w Workload, q Query) (*apex.Application, error) {
 	case Grep:
 		app.AddOperator("grep", apex.FilterOp(GrepMatch))
 	case WindowedCount:
-		app.AddOperator("windowedCount", apex.TumblingCountWindow(
-			WindowedCountWindow, EventTime, UserKey, FormatWindowedCount))
+		app.AddOperator("windowedCount", apexKeyed(newWindowedCountState))
 	case SlidingSum:
-		app.AddOperator("slidingSum", apex.AggWindowOp(apex.WindowConfig{
-			Assigner:  slidingSumAssigner(),
-			Agg:       watermark.AggSum,
-			Value:     ItemRank,
-			EventTime: EventTime,
-			Key:       UserKey,
-			Format:    FormatSlidingSum,
-		}))
+		app.AddOperator("slidingSum", apexKeyed(newSlidingSumState))
 	default:
 		return nil, fmt.Errorf("queries: unknown query %d", q)
 	}
@@ -298,7 +287,7 @@ func nativeApexJoin(w Workload) *apex.Application {
 	}))
 	app.AddOperator("assignTimestampsA", apex.AssignTimestamps(TaggedEventTime, JoinBound))
 	app.AddOperator("assignTimestampsB", apex.AssignTimestamps(TaggedEventTime, JoinBound))
-	app.AddOperator("join", joinApexFactory())
+	app.AddOperator("join", apexKeyed(newJoinState))
 	app.AddOutput("kafkaOutput", apex.KafkaOutput(w.Broker, w.OutputTopic, w.Producer))
 	// The output topic has one partition, so the sink is pinned to one
 	// container — which also keeps the eight-operator DAG inside the
@@ -316,33 +305,35 @@ func nativeApexJoin(w Workload) *apex.Application {
 	return app
 }
 
-// joinApexFactory deploys the shared join executable behind the engine's
-// watermark-aware operator hooks.
-func joinApexFactory() apex.GenericFactory {
+// apexKeyed deploys a keyed state behind Apex's watermark-aware
+// operator hooks: one state instance per partition, panes firing off
+// the combined (min-over-senders) input watermark and draining when the
+// input stream ends.
+func apexKeyed(newState func() keyedState) apex.GenericFactory {
 	return func(apex.OperatorContext) (apex.GenericOperator, error) {
-		return &joinApexOperator{state: NewJoinState()}, nil
+		return &apexKeyedOperator{state: newState()}, nil
 	}
 }
 
-type joinApexOperator struct {
-	state *JoinState
+type apexKeyedOperator struct {
+	state keyedState
 }
 
-func (o *joinApexOperator) Process(t []byte, _ func([]byte) error) error {
-	return o.state.Add(t)
+func (o *apexKeyedOperator) Process(t []byte, _ func([]byte) error) error {
+	return o.state.Process(t)
 }
 
 // OnWatermark implements apex.WatermarkAware.
-func (o *joinApexOperator) OnWatermark(w time.Time, emit func([]byte) error) error {
+func (o *apexKeyedOperator) OnWatermark(w time.Time, emit func([]byte) error) error {
 	return o.state.Fire(w, emit)
 }
 
 // EndStream implements apex.StreamFlusher.
-func (o *joinApexOperator) EndStream(emit func([]byte) error) error {
+func (o *apexKeyedOperator) EndStream(emit func([]byte) error) error {
 	return o.state.Flush(emit)
 }
 
-func (o *joinApexOperator) Teardown() error { return nil }
+func (o *apexKeyedOperator) Teardown() error { return nil }
 
 // BeamPipeline builds the query once against the abstraction layer; the
 // same pipeline object runs on every runner. The shape matches the

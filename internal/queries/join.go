@@ -111,19 +111,18 @@ type joinAcc struct {
 	ranks   []int64
 }
 
-// JoinState is the engine-shared join executable: tagged records
+// joinState is the engine-shared join executable: tagged records
 // accumulate per (window, user), and panes emit the A x B cross product
 // once the propagated watermark passes the window's end. Every engine
-// deploys it through its own stateful hook (flink ProcessWithWatermark,
-// spark Stateful, apex watermark-aware operator), so the join semantics
-// are defined exactly once.
-type JoinState struct {
+// deploys it through the same keyedState adapter as aggState, so the
+// join semantics are defined exactly once.
+type joinState struct {
 	state *watermark.WindowState[joinAcc]
 }
 
-// NewJoinState returns empty join state over JoinWindow tumbling
+// newJoinState returns empty join state over JoinWindow tumbling
 // windows.
-func NewJoinState() *JoinState {
+func newJoinState() keyedState {
 	a, err := watermark.NewTumblingAssigner(JoinWindow)
 	if err != nil {
 		panic(err) // constant window size; cannot fail
@@ -132,11 +131,11 @@ func NewJoinState() *JoinState {
 	if err != nil {
 		panic(err)
 	}
-	return &JoinState{state: state}
+	return &joinState{state: state}
 }
 
-// Add accumulates one tagged record into its (window, user) pane.
-func (s *JoinState) Add(tagged []byte) error {
+// Process accumulates one tagged record into its (window, user) pane.
+func (s *joinState) Process(tagged []byte) error {
 	side, payload, err := taggedParts(tagged)
 	if err != nil {
 		return err
@@ -145,28 +144,31 @@ func (s *JoinState) Add(tagged []byte) error {
 	if err != nil {
 		return err
 	}
+	//beamvet:allow hotalloc pane state keys by string: one key allocation per record, pinned by TestKeyedStateProcessAllocs
 	user := string(aol.FirstColumn(payload))
 	switch side {
 	case 'A':
 		q := append([]byte(nil), QueryText(payload)...)
+		//beamvet:allow hotalloc the update closure does not escape Upsert (gcflags -m), so it stays on the stack; pinned by TestKeyedStateProcessAllocs
 		s.state.Upsert(et, user, func(a *joinAcc) { a.queries = append(a.queries, q) })
 	default:
 		rank, err := ItemRank(payload)
 		if err != nil {
 			return err
 		}
+		//beamvet:allow hotalloc the update closure does not escape Upsert (gcflags -m), so it stays on the stack; pinned by TestKeyedStateProcessAllocs
 		s.state.Upsert(et, user, func(a *joinAcc) { a.ranks = append(a.ranks, rank) })
 	}
 	return nil
 }
 
 // Fire emits every pane the watermark has passed.
-func (s *JoinState) Fire(w time.Time, emit func([]byte) error) error {
+func (s *joinState) Fire(w time.Time, emit func([]byte) error) error {
 	return s.state.FireReady(w, joinPane(emit))
 }
 
 // Flush emits every remaining pane at end of input.
-func (s *JoinState) Flush(emit func([]byte) error) error {
+func (s *joinState) Flush(emit func([]byte) error) error {
 	return s.state.FireAll(joinPane(emit))
 }
 

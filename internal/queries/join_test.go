@@ -102,51 +102,6 @@ func TestJoinPairsCrossProduct(t *testing.T) {
 	}
 }
 
-// TestJoinStateFiresOnWatermark pins the control-event contract of the
-// shared join state: panes hold until the watermark passes the window
-// end, then emit the per-(window, user) cross product.
-func TestJoinStateFiresOnWatermark(t *testing.T) {
-	mk := func(user string, sec int, rank string) []byte {
-		ts := time.Date(2006, time.March, 1, 0, 0, sec, 0, time.UTC).Format("2006-01-02 15:04:05")
-		return []byte(user + "\tq\t" + ts + "\t" + rank + "\t")
-	}
-	s := NewJoinState()
-	for _, rec := range [][]byte{
-		TagSideA(mk("u", 0, "")),
-		TagSideB(mk("u", 0, "4")),
-		TagSideA(mk("u", 1, "")), // next window: no click, joins nothing
-	} {
-		if err := s.Add(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var fired []string
-	emit := func(row []byte) error { fired = append(fired, string(row)); return nil }
-	w0end := time.Date(2006, time.March, 1, 0, 0, 0, 0, time.UTC)
-	if err := s.Fire(w0end, emit); err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 0 {
-		t.Fatalf("pane fired at watermark %v before window end: %v", w0end, fired)
-	}
-	if err := s.Fire(w0end.Add(time.Second), emit); err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 1 || fired[0] != fmt.Sprintf("%d\tu\tq\t4", w0end.Unix()) {
-		t.Fatalf("fired = %v, want one joined row", fired)
-	}
-	fired = nil
-	if err := s.Flush(emit); err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 0 {
-		t.Errorf("clickless window emitted %v, want nothing (inner join)", fired)
-	}
-	if err := s.Add([]byte("no tag")); err == nil {
-		t.Error("untagged record accepted")
-	}
-}
-
 // TestExpectedJoinsInnerSemantics checks the dataset-derived reference:
 // every record joins with the clicks of its (window, user), and users
 // without clicks in a window produce nothing.

@@ -41,6 +41,7 @@ func EventTime(rec []byte) (time.Time, error) {
 	if t, ok := parseEventTime(col); ok {
 		return t, nil
 	}
+	//beamvet:allow hotalloc fallback for non-canonical forms only; the string does not escape time.Parse, so it converts through a stack buffer (0 allocs, TestKeyedStateProcessAllocs)
 	t, err := time.Parse(eventTimeLayout, string(col))
 	if err != nil {
 		return time.Time{}, fmt.Errorf("queries: query time: %w", err)

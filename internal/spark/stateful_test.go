@@ -1,11 +1,14 @@
 package spark
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"beambench/internal/watermark"
 )
 
 var winEpoch = time.Date(2006, time.March, 1, 0, 0, 0, 0, time.UTC)
@@ -27,11 +30,52 @@ func testKey(rec []byte) ([]byte, error) {
 	return rec[i+1:], nil
 }
 
-func testFormat(start time.Time, key []byte, count int64) []byte {
-	return []byte(fmt.Sprintf("%d:%s=%d", start.Sub(winEpoch)/time.Second, key, count))
+// keyedCount is a test-local keyed count over 1s tumbling windows on the
+// generic micro-batch state hook: panes fire at batch boundaries off the
+// propagated watermark and flush at end of input, rendered
+// "sec:key=count".
+type keyedCount struct {
+	state *watermark.WindowState[int64]
 }
 
-// runWindowed drives a ReduceByKeyAndWindow job over the input with the
+func newKeyedCount(int) (StatefulProcessor, error) {
+	a, err := watermark.NewTumblingAssigner(time.Second)
+	if err != nil {
+		return nil, err
+	}
+	state, err := watermark.NewWindowState[int64](a, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &keyedCount{state: state}, nil
+}
+
+func (c *keyedCount) Process(_ TaskContext, rec []byte, _ func([]byte)) error {
+	et, err := testEventTime(rec)
+	if err != nil {
+		return err
+	}
+	key, _ := testKey(rec)
+	c.state.Upsert(et, string(key), func(n *int64) { *n++ })
+	return nil
+}
+
+func (c *keyedCount) EndBatch(task TaskContext, emit func([]byte)) error {
+	return c.state.FireReady(task.Watermark, countPane(emit))
+}
+
+func (c *keyedCount) EndStream(_ TaskContext, emit func([]byte)) error {
+	return c.state.FireAll(countPane(emit))
+}
+
+func countPane(emit func([]byte)) func(watermark.Pane[int64]) error {
+	return func(p watermark.Pane[int64]) error {
+		emit([]byte(fmt.Sprintf("%d:%s=%d", p.Start.Sub(winEpoch)/time.Second, p.Key, p.Acc)))
+		return nil
+	}
+}
+
+// runWindowed drives a keyed windowed count over the input with the
 // given per-batch size and returns the collected output in order.
 func runWindowed(t *testing.T, input [][]byte, perBatch int) []string {
 	t.Helper()
@@ -43,7 +87,7 @@ func runWindowed(t *testing.T, input [][]byte, perBatch int) []string {
 	var got []string
 	ssc.SliceStream(input, perBatch).
 		AssignTimestampsBounded(testEventTime, 0).
-		ReduceByKeyAndWindow("WindowedCount", time.Second, testEventTime, testKey, testFormat).
+		Stateful("WindowedCount", newKeyedCount).
 		ForeachRecord("collect", func(rec []byte) error {
 			got = append(got, string(rec))
 			return nil
@@ -54,7 +98,7 @@ func runWindowed(t *testing.T, input [][]byte, perBatch int) []string {
 	return got
 }
 
-func TestReduceByKeyAndWindowCountsAcrossBatches(t *testing.T) {
+func TestKeyedWindowCountsAcrossBatches(t *testing.T) {
 	input := [][]byte{
 		windowedRecord(0, "a"),
 		windowedRecord(0, "b"),
@@ -105,7 +149,7 @@ func TestRepartitionByKeyKeepsKeysTogether(t *testing.T) {
 	ssc.SliceStream(input, 10).
 		AssignTimestampsBounded(testEventTime, 0).
 		RepartitionByKey(3, testKey).
-		ReduceByKeyAndWindow("WindowedCount", time.Second, testEventTime, testKey, testFormat).
+		Stateful("WindowedCount", newKeyedCount).
 		ForeachRecord("collect", func(rec []byte) error {
 			mu.Lock()
 			counts[string(rec)]++
@@ -138,7 +182,7 @@ func TestStatefulStageRejectsTwoOutputs(t *testing.T) {
 	}
 	windowed := ssc.SliceStream([][]byte{windowedRecord(0, "a")}, 0).
 		AssignTimestampsBounded(testEventTime, 0).
-		ReduceByKeyAndWindow("WindowedCount", time.Second, testEventTime, testKey, testFormat)
+		Stateful("WindowedCount", newKeyedCount)
 	windowed.ForeachRecord("one", func([]byte) error { return nil })
 	windowed.ForeachRecord("two", func([]byte) error { return nil })
 	if _, err := ssc.RunBounded(); err == nil {
@@ -146,16 +190,19 @@ func TestStatefulStageRejectsTwoOutputs(t *testing.T) {
 	}
 }
 
-func TestReduceByKeyAndWindowValidation(t *testing.T) {
+// TestStatefulFactoryErrorFailsRun pins that a stateful stage whose
+// processor cannot be constructed fails the run.
+func TestStatefulFactoryErrorFailsRun(t *testing.T) {
 	cluster := newTestCluster(t, ClusterConfig{})
 	ssc, err := NewStreamingContext(cluster, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	boom := errors.New("boom")
 	ssc.SliceStream([][]byte{windowedRecord(0, "a")}, 0).
-		ReduceByKeyAndWindow("bad", 0, testEventTime, testKey, testFormat).
+		Stateful("bad", func(int) (StatefulProcessor, error) { return nil, boom }).
 		ForeachRecord("collect", func([]byte) error { return nil })
-	if _, err := ssc.RunBounded(); err == nil {
-		t.Error("zero window size accepted")
+	if _, err := ssc.RunBounded(); !errors.Is(err, boom) {
+		t.Errorf("RunBounded = %v, want boom", err)
 	}
 }

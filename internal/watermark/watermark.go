@@ -39,8 +39,9 @@
 // panes in a deterministic order once the watermark passes a window's
 // end; NumAcc with an AggKind (agg.go) provides the numeric aggregates
 // (count, sum, min, max, avg) the windowed queries compose with it.
-// The engines' windowed operators and the Beam runners' GroupByKey
-// translation are thin wrappers around these.
+// The native queries' shared keyed executors (internal/queries) and
+// the Beam runners' GroupByKey translation are thin wrappers around
+// these.
 package watermark
 
 import (
