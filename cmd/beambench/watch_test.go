@@ -67,7 +67,7 @@ func TestRenderFrameFirstAndDelta(t *testing.T) {
 func TestRunWatchAgainstLiveServer(t *testing.T) {
 	plane := obs.NewPlane(100, 1)
 	plane.Expect([]string{"Flink P1 Identity"})
-	plane.Cell("Flink P1 Identity").StartRun(obs.CellSources{})
+	plane.Cell("Flink P1 Identity").StartRun(nil)
 	plane.Cell("Flink P1 Identity").EndRun()
 	plane.Cell("Flink P1 Identity").Finish(obs.CellDone, "")
 	srv, err := plane.Serve("127.0.0.1:0")

@@ -86,8 +86,9 @@
 //
 //	broker    every record carries its LogAppendTime
 //	engines   operators mark per-stage throughput into the cell's
-//	          metrics.Collector (threaded via beam.Options.Metrics and
-//	          the engine cluster configs) while the job runs
+//	          metrics.Collector (carried by the run's obs.Run handle,
+//	          threaded via beam.Options.Telemetry and the engine
+//	          cluster configs) while the job runs
 //	harness   result calculation pairs each output record's append time
 //	          with its input record's append time (the queries are
 //	          deterministic, so outputs match FIFO against the surviving

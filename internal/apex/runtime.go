@@ -45,17 +45,15 @@ type LaunchConfig struct {
 	Costs simcost.Costs
 	// Sim scales the cost model; nil charges nothing.
 	Sim *simcost.Simulator
-	// Metrics, when non-nil, receives per-operator throughput while the
-	// application runs: every partition marks its operator's record
-	// count at streaming-window boundaries. Marks are cumulative like
-	// monitoring counters: with RestartAttempts > 0 they include the
-	// work a failed attempt performed, unlike the per-attempt
-	// OperatorStats counters, which reset on every attempt. Nil
-	// disables collection.
-	Metrics *metrics.Collector
-	// Trace, when non-nil, records a span per operator partition and a
-	// watermark gauge per operator. Nil disables tracing.
-	Trace *obs.Tracer
+	// Telemetry, when non-nil, receives per-operator throughput while
+	// the application runs (every partition marks its operator's record
+	// count at streaming-window boundaries), a span per operator
+	// partition and a watermark gauge per operator. Marks are cumulative
+	// like monitoring counters: with RestartAttempts > 0 they include
+	// the work a failed attempt performed, unlike the per-attempt
+	// OperatorStats counters, which reset on every attempt. Nil disables
+	// all of it.
+	Telemetry *obs.Run
 }
 
 func (c *LaunchConfig) validate() error {
@@ -282,10 +280,8 @@ func (s *Stram) runAttempt() error {
 	}
 	// Pre-register telemetry stages in DAG insertion order so reports
 	// list operators deterministically regardless of deployment races.
-	if m := s.cfg.Metrics; m != nil {
-		for _, name := range s.app.order {
-			m.Stage(name)
-		}
+	for _, name := range s.app.order {
+		s.cfg.Telemetry.Stage(name)
 	}
 
 	// STRAM itself is the Application Master container.
@@ -410,15 +406,12 @@ func (at *attempt) runPartition(op *opDef, part int, ctr *yarn.Container) error 
 	defer ctx.meter.Flush()
 
 	// One span per operator partition attempt.
-	span := s.cfg.Trace.Span("apex/"+op.name+"/p"+strconv.Itoa(part), "partition")
+	span := s.cfg.Telemetry.Span("apex/"+op.name+"/p"+strconv.Itoa(part), "partition")
 	defer span.End()
 
 	// Telemetry handle, resolved once per partition; marks happen at
 	// streaming-window boundaries, so the per-tuple path stays clean.
-	var stage *metrics.Stage
-	if s.cfg.Metrics != nil {
-		stage = s.cfg.Metrics.Stage(op.name)
-	}
+	stage := s.cfg.Telemetry.Stage(op.name)
 
 	senders := make([]*streamSender, len(op.outStreams))
 	for i, out := range op.outStreams {
@@ -592,7 +585,7 @@ func (at *attempt) runGenericPartition(op *opDef, ctx *partitionContext, ctr *ya
 		}
 		return nil
 	}
-	wmGauge := s.cfg.Trace.Gauge("watermark-lag/" + op.name)
+	wmGauge := s.cfg.Telemetry.Gauge("watermark-lag/" + op.name)
 	onWatermark := func(w time.Time) error {
 		if !w.After(delivered) {
 			return nil
@@ -600,7 +593,7 @@ func (at *attempt) runGenericPartition(op *opDef, ctx *partitionContext, ctr *ya
 		delivered = w
 		wmGauge.SetTime(w)
 		if w.Equal(watermark.EndOfTime) {
-			s.cfg.Trace.Instant("drain/"+op.name, "end-of-input")
+			s.cfg.Telemetry.Instant("drain/"+op.name, "end-of-input")
 		}
 		if watermarkAware {
 			if err := wa.OnWatermark(w, emit); err != nil {

@@ -35,9 +35,10 @@ type GBKConfig struct {
 	// durations (nil disables charging).
 	Costs  simcost.Costs
 	Charge func(time.Duration)
-	// Trace, when non-nil, records a watermark gauge for the grouping
-	// state and an instant event per fired pane. Nil disables tracing.
-	Trace *obs.Tracer
+	// Telemetry, when non-nil, records a watermark gauge for the
+	// grouping state and an instant event per fired pane. Nil disables
+	// both.
+	Telemetry *obs.Run
 }
 
 // GBKState is the stateful GroupByKey executable every engine runner
@@ -141,7 +142,7 @@ func NewGBKState(cfg GBKConfig) (*GBKState, error) {
 	if cfg.Output == nil {
 		return nil, errors.New("graphx: GroupByKey needs an output coder")
 	}
-	g := &GBKState{cfg: cfg, wmGauge: cfg.Trace.Gauge("watermark-lag/GroupByKey")}
+	g := &GBKState{cfg: cfg, wmGauge: cfg.Telemetry.Gauge("watermark-lag/GroupByKey")}
 	ws := cfg.Windowing
 	if ws.IsGlobal() {
 		if ws.Trigger != nil {
@@ -285,7 +286,7 @@ func (g *GBKState) emitPane(p watermark.Pane[windowAcc], emit func([]byte) error
 		return fmt.Errorf("graphx: GroupByKey encode: %w", err)
 	}
 	g.charge(g.cfg.Costs.CoderPerRecord)
-	g.cfg.Trace.Instant("panes/GroupByKey", "pane")
+	g.cfg.Telemetry.Instant("panes/GroupByKey", "pane")
 	return emit(wire)
 }
 

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 
-	"beambench/internal/metrics"
 	"beambench/internal/obs"
 	"beambench/internal/simcost"
 )
@@ -112,16 +111,11 @@ type Options struct {
 	// start (the right default when the topic is fully preloaded before
 	// Run is called outside the harness).
 	TargetRecords int64
-	// Metrics, when non-nil, receives per-stage throughput from the
-	// translated engine operators while the pipeline runs (every runner
-	// threads it into its engine's runtime). Nil disables collection at
-	// no hot-path cost.
-	Metrics *metrics.Collector
-	// Trace, when non-nil, receives lifecycle spans and watermark
-	// gauges from the translated pipeline (runners thread it into their
-	// engine's runtime alongside Metrics). Nil disables tracing at no
-	// hot-path cost.
-	Trace *obs.Tracer
+	// Telemetry is the run's telemetry handle: every runner threads it
+	// into its engine's runtime, which reports per-stage throughput,
+	// lifecycle spans and watermark gauges through it. Nil disables all
+	// of it at no hot-path cost.
+	Telemetry *obs.Run
 }
 
 // EffectiveCosts resolves the cost model, defaulting when unset.

@@ -36,7 +36,6 @@ import (
 	"beambench/internal/apex"
 	"beambench/internal/beam"
 	"beambench/internal/beam/graphx"
-	"beambench/internal/metrics"
 	"beambench/internal/obs"
 	"beambench/internal/simcost"
 	"beambench/internal/yarn"
@@ -78,12 +77,10 @@ type Config struct {
 	// Fusion selects the translation mode. The Apex runner's default is
 	// fused — the executable-stage deployment the paper measures.
 	Fusion beam.FusionMode
-	// Metrics, when non-nil, receives per-operator throughput from the
-	// deployed application's partitions. Nil disables collection.
-	Metrics *metrics.Collector
-	// Trace, when non-nil, records spans and watermark gauges from the
-	// deployed application. Nil disables tracing.
-	Trace *obs.Tracer
+	// Telemetry, when non-nil, receives per-operator throughput, spans
+	// and watermark gauges from the deployed application. Nil disables
+	// all of it.
+	Telemetry *obs.Run
 	// TargetRecords bounds every KafkaRead by the total record count the
 	// topic will eventually hold (see beam.Options.TargetRecords); 0
 	// snapshots the topic contents at partition setup.
@@ -111,8 +108,7 @@ func (Runner) Run(ctx context.Context, p *beam.Pipeline, opts beam.Options) (bea
 		Costs:         opts.EffectiveCosts(),
 		Sim:           opts.Sim,
 		Fusion:        opts.Fusion,
-		Metrics:       opts.Metrics,
-		Trace:         opts.Trace,
+		Telemetry:     opts.Telemetry,
 		TargetRecords: opts.TargetRecords,
 	}
 	// Unfused multi-source pipelines can translate to more operator
@@ -381,7 +377,7 @@ func Translate(p *beam.Pipeline, cfg Config) (*apex.Application, apex.LaunchConf
 				Input:     kvCoder,
 				Output:    t.Output.Coder(),
 				Costs:     cfg.Costs,
-				Trace:     cfg.Trace,
+				Telemetry: cfg.Telemetry,
 			}
 			if _, err := graphx.NewGBKState(gbkCfg); err != nil {
 				if errors.Is(err, beam.ErrUnsupported) {
@@ -431,8 +427,7 @@ func Translate(p *beam.Pipeline, cfg Config) (*apex.Application, apex.LaunchConf
 		Parallelism: cfg.Parallelism,
 		Costs:       cfg.Costs,
 		Sim:         cfg.Sim,
-		Metrics:     cfg.Metrics,
-		Trace:       cfg.Trace,
+		Telemetry:   cfg.Telemetry,
 	}
 	return app, launch, nil
 }

@@ -19,7 +19,6 @@ import (
 	"beambench/internal/beam"
 	"beambench/internal/beam/graphx"
 	"beambench/internal/broker"
-	"beambench/internal/metrics"
 	"beambench/internal/obs"
 )
 
@@ -38,7 +37,7 @@ type Runner struct{}
 func (Runner) Run(ctx context.Context, p *beam.Pipeline, opts beam.Options) (beam.Result, error) {
 	// Fusion is off by default: the direct runner materializes every
 	// collection so tests can inspect intermediates.
-	return run(ctx, p, opts.Fusion.Enabled(false), opts.Metrics, opts.Trace, opts.TargetRecords)
+	return run(ctx, p, opts.Fusion.Enabled(false), opts.Telemetry, opts.TargetRecords)
 }
 
 // Result holds the materialized outputs of a pipeline run.
@@ -83,10 +82,10 @@ type windowedValue struct {
 // Use the runner registry with beam.Options.TargetRecords to instead
 // block until a known total has been appended to the topic.
 func Run(p *beam.Pipeline) (*Result, error) {
-	return run(context.Background(), p, false, nil, nil, 0)
+	return run(context.Background(), p, false, nil, 0)
 }
 
-func run(ctx context.Context, p *beam.Pipeline, fused bool, col *metrics.Collector, tr *obs.Tracer, target int64) (*Result, error) {
+func run(ctx context.Context, p *beam.Pipeline, fused bool, tel *obs.Run, target int64) (*Result, error) {
 	plan, err := graphx.Lower(p, graphx.Options{Fusion: fused})
 	if err != nil {
 		return nil, err
@@ -103,7 +102,7 @@ func run(ctx context.Context, p *beam.Pipeline, fused bool, col *metrics.Collect
 				return nil, err
 			}
 		}
-		sp := tr.Span("direct/"+s.Name(), "stage")
+		sp := tel.Span("direct/"+s.Name(), "stage")
 		out, err := runStage(ctx, s, data, target)
 		sp.End()
 		if err != nil {
@@ -117,11 +116,11 @@ func run(ctx context.Context, p *beam.Pipeline, fused bool, col *metrics.Collect
 			}
 			res.Collections[s.Output().ID()] = vals
 			res.Counts[s.Name()] += int64(len(out))
-			col.Stage(s.Name()).Mark(int64(len(out)))
+			tel.Stage(s.Name()).Mark(int64(len(out)))
 		} else if len(s.Transforms[0].Inputs) > 0 {
 			// Sinks have no output collection; their throughput is the
 			// records they consumed.
-			col.Stage(s.Name()).Mark(int64(len(data[s.Transforms[0].Inputs[0].ID()])))
+			tel.Stage(s.Name()).Mark(int64(len(data[s.Transforms[0].Inputs[0].ID()])))
 		}
 	}
 	return res, nil

@@ -77,7 +77,7 @@ func (Runner) Run(ctx context.Context, p *beam.Pipeline, opts beam.Options) (bea
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cluster, err := flink.NewCluster(flink.ClusterConfig{Costs: opts.EffectiveCosts(), Sim: opts.Sim, Metrics: opts.Metrics, Trace: opts.Trace})
+	cluster, err := flink.NewCluster(flink.ClusterConfig{Costs: opts.EffectiveCosts(), Sim: opts.Sim, Telemetry: opts.Telemetry})
 	if err != nil {
 		return nil, err
 	}
@@ -270,7 +270,7 @@ func Translate(p *beam.Pipeline, cfg Config) (*flink.Environment, string, error)
 				Input:     kvCoder,
 				Output:    t.Output.Coder(),
 				Costs:     costs,
-				Trace:     cfg.Cluster.Trace(),
+				Telemetry: cfg.Cluster.Telemetry(),
 			}
 			if _, err := graphx.NewGBKState(gbkCfg); err != nil {
 				if errors.Is(err, beam.ErrUnsupported) {

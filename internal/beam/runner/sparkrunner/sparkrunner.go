@@ -81,7 +81,7 @@ func (Runner) Run(ctx context.Context, p *beam.Pipeline, opts beam.Options) (bea
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cluster, err := spark.NewCluster(spark.ClusterConfig{Costs: opts.EffectiveCosts(), Sim: opts.Sim, Metrics: opts.Metrics, Trace: opts.Trace})
+	cluster, err := spark.NewCluster(spark.ClusterConfig{Costs: opts.EffectiveCosts(), Sim: opts.Sim, Telemetry: opts.Telemetry})
 	if err != nil {
 		return nil, err
 	}
@@ -312,7 +312,7 @@ func translate(p *beam.Pipeline, cfg Config) (*spark.StreamingContext, int, erro
 				Input:     kvCoder,
 				Output:    t.Output.Coder(),
 				Costs:     costs,
-				Trace:     cfg.Cluster.Trace(),
+				Telemetry: cfg.Cluster.Telemetry(),
 			}
 			if _, err := graphx.NewGBKState(gbkCfg); err != nil {
 				if errors.Is(err, beam.ErrUnsupported) {

@@ -14,6 +14,7 @@ import (
 	_ "beambench/internal/beam/runners"
 	"beambench/internal/broker"
 	"beambench/internal/metrics"
+	"beambench/internal/obs"
 	"beambench/internal/queries"
 )
 
@@ -394,8 +395,8 @@ func TestMetricsAndElements(t *testing.T) {
 	}
 }
 
-// TestAllRunnersReportStageThroughput: with a collector in
-// beam.Options.Metrics, every registered runner — direct included —
+// TestAllRunnersReportStageThroughput: with a collector in the
+// beam.Options.Telemetry handle, every registered runner — direct included —
 // must report per-stage throughput, and some stage must carry exactly
 // the query's output record count.
 func TestAllRunnersReportStageThroughput(t *testing.T) {
@@ -411,7 +412,7 @@ func TestAllRunnersReportStageThroughput(t *testing.T) {
 				t.Fatal(err)
 			}
 			col := metrics.NewCollector()
-			if _, err := r.Run(context.Background(), p, beam.Options{Metrics: col}); err != nil {
+			if _, err := r.Run(context.Background(), p, beam.Options{Telemetry: obs.NewRun(nil, col, false, nil, nil)}); err != nil {
 				t.Fatal(err)
 			}
 			outputs := int64(len(outputStrings(t, w)))

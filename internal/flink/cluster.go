@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"beambench/internal/metrics"
 	"beambench/internal/obs"
 	"beambench/internal/simcost"
 )
@@ -34,17 +33,15 @@ type ClusterConfig struct {
 	Costs simcost.Costs
 	// Sim scales the cost model; nil charges nothing.
 	Sim *simcost.Simulator
-	// Metrics, when non-nil, receives per-operator throughput while jobs
-	// run: every operator's emissions (and every sink's writes) are
-	// marked under the operator's name. Marks are cumulative like
+	// Telemetry, when non-nil, receives per-operator throughput while
+	// jobs run (every operator's emissions, and every sink's writes, are
+	// marked under the operator's name), a span per subtask attempt and
+	// a watermark gauge per operator chain. Marks are cumulative like
 	// monitoring counters: with RestartAttempts > 0 they include the
 	// work a failed attempt performed, unlike the per-attempt
 	// OperatorMetrics snapshots, which reset on every attempt. Nil
-	// disables collection.
-	Metrics *metrics.Collector
-	// Trace, when non-nil, records a span per subtask attempt and a
-	// watermark gauge per operator chain. Nil disables tracing.
-	Trace *obs.Tracer
+	// disables all of it.
+	Telemetry *obs.Run
 }
 
 func (c *ClusterConfig) validate() error {
@@ -117,10 +114,10 @@ func (c *Cluster) Costs() simcost.Costs {
 	return c.cfg.Costs
 }
 
-// Trace exposes the cluster's tracer (nil when tracing is disabled), so
-// runner translations can record into the same timeline as the runtime.
-func (c *Cluster) Trace() *obs.Tracer {
-	return c.cfg.Trace
+// Telemetry exposes the cluster's telemetry handle (nil when disabled),
+// so runner translations report into the same run as the runtime.
+func (c *Cluster) Telemetry() *obs.Run {
+	return c.cfg.Telemetry
 }
 
 // FreeSlots reports currently unoccupied slots.

@@ -10,6 +10,7 @@ import (
 
 	"beambench/internal/keyhash"
 	"beambench/internal/metrics"
+	"beambench/internal/obs"
 	"beambench/internal/simcost"
 	"beambench/internal/watermark"
 )
@@ -199,10 +200,8 @@ func (env *Environment) runOnce() error {
 	// Pre-register telemetry stages in graph order, so reports list
 	// operators as the job declares them rather than in the (reversed)
 	// chain-composition order subtasks resolve them in.
-	if m := env.cluster.cfg.Metrics; m != nil {
-		for _, op := range env.ops {
-			m.Stage(op.name)
-		}
+	for _, op := range env.ops {
+		env.cluster.cfg.Telemetry.Stage(op.name)
 	}
 	chains := env.buildChains()
 
@@ -298,7 +297,7 @@ type subtaskContext struct {
 	idx     int
 	par     int
 	meter   *simcost.Meter
-	metrics *metrics.Collector
+	tel     *obs.Run
 	markers []*stageMarker
 }
 
@@ -316,10 +315,11 @@ func (c *subtaskContext) flush() {
 // newMarker returns a per-subtask throughput marker for one operator, or
 // nil when metrics collection is disabled.
 func (c *subtaskContext) newMarker(name string) *stageMarker {
-	if c.metrics == nil {
+	stage := c.tel.Stage(name)
+	if stage == nil {
 		return nil
 	}
-	m := &stageMarker{stage: c.metrics.Stage(name)}
+	m := &stageMarker{stage: stage}
 	c.markers = append(c.markers, m)
 	return m
 }
@@ -369,15 +369,15 @@ func (f emitterFunc) EmitWatermark(w time.Time) error { return f(w) }
 // runSubtask executes one parallel instance of a chain.
 func (env *Environment) runSubtask(rt *jobRuntime, rc *runtimeChain, idx int) error {
 	ctx := &subtaskContext{
-		idx:     idx,
-		par:     rc.c.parallelism,
-		meter:   env.cluster.cfg.Sim.NewMeter(),
-		metrics: env.cluster.cfg.Metrics,
+		idx:   idx,
+		par:   rc.c.parallelism,
+		meter: env.cluster.cfg.Sim.NewMeter(),
+		tel:   env.cluster.cfg.Telemetry,
 	}
 	defer ctx.flush()
 	// One span per subtask attempt, on a track naming the chain (head
 	// operator) and parallel instance.
-	span := env.cluster.cfg.Trace.Span("flink/"+rc.c.head().name+"/subtask-"+strconv.Itoa(idx), "subtask")
+	span := env.cluster.cfg.Telemetry.Span("flink/"+rc.c.head().name+"/subtask-"+strconv.Itoa(idx), "subtask")
 	defer span.End()
 
 	// Tail collector: either the network edges or nothing (sink ends the
@@ -408,11 +408,11 @@ func (env *Environment) runSubtask(rt *jobRuntime, rc *runtimeChain, idx int) er
 	// this sender). The chain's output watermark also feeds a gauge the
 	// obs monitor samples for per-operator watermark lag; subtasks of
 	// one chain share the gauge (an atomic, last write wins).
-	wmGauge := env.cluster.cfg.Trace.Gauge("watermark-lag/" + rc.c.tail().name)
+	wmGauge := env.cluster.cfg.Telemetry.Gauge("watermark-lag/" + rc.c.tail().name)
 	wmTail := wmHandler(func(w time.Time) error {
 		wmGauge.SetTime(w)
 		if w.Equal(watermark.EndOfTime) {
-			env.cluster.cfg.Trace.Instant("drain/"+rc.c.tail().name, "end-of-input")
+			env.cluster.cfg.Telemetry.Instant("drain/"+rc.c.tail().name, "end-of-input")
 		}
 		for _, s := range senders {
 			if err := s.sendWatermark(w); err != nil {

@@ -1,6 +1,6 @@
 // Package goleak fails a test run that leaves goroutines behind. It is
 // a dependency-free reimplementation of the core of go.uber.org/goleak
-// (VerifyTestMain / VerifyNone / Find with the same semantics), built
+// (VerifyTestMain / Find with the same semantics), built
 // on runtime.Stack because this module deliberately has no external
 // dependencies and the build environment is offline. If the module
 // ever grows a dependency budget, swapping the import path back to
@@ -81,15 +81,6 @@ func VerifyTestMain(m *testing.M, opts ...Option) {
 		}
 	}
 	os.Exit(exit)
-}
-
-// VerifyNone fails t immediately if goroutines are leaked at the call
-// point. Useful inside a single test that owns its lifecycle.
-func VerifyNone(t *testing.T, opts ...Option) {
-	t.Helper()
-	if err := Find(opts...); err != nil {
-		t.Errorf("goleak: leaked goroutines:\n%v", err)
-	}
 }
 
 // Find returns an error describing all currently running goroutines

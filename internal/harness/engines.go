@@ -3,7 +3,6 @@ package harness
 import (
 	"beambench/internal/apex"
 	"beambench/internal/flink"
-	"beambench/internal/metrics"
 	"beambench/internal/obs"
 	"beambench/internal/queries"
 	"beambench/internal/simcost"
@@ -15,12 +14,11 @@ import (
 // query on a fresh engine cluster. The Beam variants never come through
 // here — they run through the beam runner registry (executeBeam) — so
 // this table is the only place the harness touches engine APIs. The
-// collector (nil when telemetry is off) is threaded into the engine's
-// cluster configuration so native cells report per-stage throughput
-// exactly like Beam cells do; the tracer (nil when tracing is off) is
-// threaded the same way so native cells trace per-stage spans and
-// watermark gauges exactly like Beam cells do.
-type nativeExecutor func(r *Runner, setup Setup, w queries.Workload, sim *simcost.Simulator, col *metrics.Collector, tr *obs.Tracer) error
+// run's telemetry handle (nil when all telemetry is off) is threaded
+// into the engine's cluster configuration, so native cells report
+// per-stage throughput, spans and watermark gauges exactly like Beam
+// cells do.
+type nativeExecutor func(r *Runner, setup Setup, w queries.Workload, sim *simcost.Simulator, tel *obs.Run) error
 
 var nativeExecutors = map[System]nativeExecutor{
 	SystemFlink: nativeFlink,
@@ -28,9 +26,9 @@ var nativeExecutors = map[System]nativeExecutor{
 	SystemApex:  nativeApex,
 }
 
-func nativeFlink(r *Runner, setup Setup, w queries.Workload, sim *simcost.Simulator, col *metrics.Collector, tr *obs.Tracer) error {
-	launch := tr.Span("harness", "cluster-launch")
-	cluster, err := flink.NewCluster(flink.ClusterConfig{Costs: r.costs, Sim: sim, Metrics: col, Trace: tr})
+func nativeFlink(r *Runner, setup Setup, w queries.Workload, sim *simcost.Simulator, tel *obs.Run) error {
+	launch := tel.Span("harness", "cluster-launch")
+	cluster, err := flink.NewCluster(flink.ClusterConfig{Costs: r.costs, Sim: sim, Telemetry: tel})
 	if err != nil {
 		launch.End()
 		return err
@@ -46,9 +44,9 @@ func nativeFlink(r *Runner, setup Setup, w queries.Workload, sim *simcost.Simula
 	return err
 }
 
-func nativeSpark(r *Runner, setup Setup, w queries.Workload, sim *simcost.Simulator, col *metrics.Collector, tr *obs.Tracer) error {
-	launch := tr.Span("harness", "cluster-launch")
-	cluster, err := spark.NewCluster(spark.ClusterConfig{Costs: r.costs, Sim: sim, Metrics: col, Trace: tr})
+func nativeSpark(r *Runner, setup Setup, w queries.Workload, sim *simcost.Simulator, tel *obs.Run) error {
+	launch := tel.Span("harness", "cluster-launch")
+	cluster, err := spark.NewCluster(spark.ClusterConfig{Costs: r.costs, Sim: sim, Telemetry: tel})
 	if err != nil {
 		launch.End()
 		return err
@@ -67,8 +65,8 @@ func nativeSpark(r *Runner, setup Setup, w queries.Workload, sim *simcost.Simula
 	return err
 }
 
-func nativeApex(r *Runner, setup Setup, w queries.Workload, sim *simcost.Simulator, col *metrics.Collector, tr *obs.Tracer) error {
-	launch := tr.Span("harness", "cluster-launch")
+func nativeApex(r *Runner, setup Setup, w queries.Workload, sim *simcost.Simulator, tel *obs.Run) error {
+	launch := tel.Span("harness", "cluster-launch")
 	cluster, err := yarn.NewCluster(yarn.ClusterConfig{})
 	if err != nil {
 		launch.End()
@@ -85,8 +83,7 @@ func nativeApex(r *Runner, setup Setup, w queries.Workload, sim *simcost.Simulat
 		Parallelism: setup.Parallelism,
 		Costs:       r.costs,
 		Sim:         sim,
-		Metrics:     col,
-		Trace:       tr,
+		Telemetry:   tel,
 	})
 	if err != nil {
 		return err

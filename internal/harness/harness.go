@@ -272,7 +272,7 @@ type Config struct {
 	GaugeInterval time.Duration
 	// Plane, if set, is the live telemetry plane: the harness registers
 	// every matrix cell on it (pending -> running -> done/skipped/failed)
-	// and attaches each run's live sources — the cell's metrics
+	// and attaches each run's telemetry handle — the cell's metrics
 	// collector, the run's watermark gauges, and per-partition consumer
 	// lag read straight from the run's broker — so an exposition server
 	// (obs.Plane.Serve, beambench -serve) can snapshot the matrix while
@@ -461,20 +461,6 @@ func (r *Runner) runSingle(ctx context.Context, setup Setup, runIdx int) (RunRes
 	}
 	wallStart := time.Now()
 
-	// Each run traces under its own scope, so the per-run tracks and
-	// gauges of concurrent cells never collide in the shared ring.
-	traced := r.cfg.Trace.Scoped(cellKey(setup) + "/run" + strconv.Itoa(runIdx))
-	tr := traced
-	if tr == nil && r.cfg.Plane != nil {
-		// Plane without -trace: the engines still need a gauge registry
-		// for live watermark lag, so the run gets a private single-slot
-		// tracer — gauges are real, span events overwrite one ring slot
-		// and are never exported.
-		tr = obs.NewTracer(1)
-	}
-	runSpan := tr.Span("harness", "run")
-	defer runSpan.End()
-
 	factor := 1.0
 	if !r.cfg.DisableNoise {
 		seed := simcost.RunSeed(
@@ -484,6 +470,15 @@ func (r *Runner) runSingle(ctx context.Context, setup Setup, runIdx int) (RunRes
 	}
 	sim := simcost.New(factor)
 	b := broker.New(broker.WithCosts(r.costs, sim))
+	// One telemetry handle per run: engine operators report per-stage
+	// throughput into the cell's collector (nil when metrics are off),
+	// spans into the run's own trace scope (so concurrent cells never
+	// collide in the shared ring) and watermarks into gauges.
+	col := r.metrics.Collector(cellKey(setup))
+	tel := obs.NewRun(r.cfg.Trace.Scoped(cellKey(setup)+"/run"+strconv.Itoa(runIdx)), col,
+		r.cfg.Plane != nil, consumerLag(b), topicEnds(b))
+	runSpan := tel.Span("harness", "run")
+	defer runSpan.End()
 
 	// Both benchmark topics: one partition, replication factor 1,
 	// LogAppendTime — the paper's configuration (Section III-A).
@@ -495,38 +490,18 @@ func (r *Runner) runSingle(ctx context.Context, setup Setup, runIdx int) (RunRes
 		return RunResult{}, err
 	}
 
-	// Phases 1 and 2: data ingestion and program execution. The cell's
-	// collector (nil when telemetry is off) rides along so engine
-	// operators report per-stage throughput while they run. Every source
-	// terminates via the target-count contract (InputRecords /
-	// TargetRecords), so the two phases may overlap: in preload mode the
-	// sender completes before the cluster launches, in stream mode the
-	// sender runs concurrently with the engine and the harness joins on
-	// both.
-	col := r.metrics.Collector(cellKey(setup))
-
-	// The live plane (if any) sees the run's sources for pull-based
-	// scraping; EndRun detaches the broker-backed ones when the run
-	// finishes, keeping the final topic offsets.
+	// The live plane (if any) reads the handle on demand at scrape time;
+	// EndRun detaches it when the run finishes, keeping the final topic
+	// offsets.
 	lc := r.cfg.Plane.Cell(cellKey(setup))
-	lc.StartRun(obs.CellSources{
-		Collector:   col,
-		Tracer:      tr,
-		ConsumerLag: consumerLagSamples(b),
-		TopicEnds:   topicEnds(b),
-	})
+	lc.StartRun(tel)
 	defer lc.EndRun()
 
-	// The lag monitor samples broker and telemetry state on a ticker
-	// for the whole run: per-partition consumer lag, per-stage rates,
-	// and (via the tracer's gauge registry) per-operator watermark lag.
-	// It is tied to the real tracer — a plane-only run is scraped on
-	// demand instead of sampled, so no ticker goroutine spins for it.
-	mon := obs.NewMonitor(traced, r.cfg.GaugeInterval)
-	mon.SampleEach(consumerLagSampler(b))
-	if col != nil {
-		mon.SampleEach(stageRateSampler(col))
-	}
+	// The lag monitor samples the same handle on a ticker for the whole
+	// run: per-partition consumer lag, per-stage rates and per-operator
+	// watermark lag. It runs only when tracing is on — a plane-only run
+	// is scraped on demand instead, so no ticker goroutine spins for it.
+	mon := obs.NewMonitor(tel, r.cfg.GaugeInterval)
 	mon.Start()
 	gauges := []obs.GaugeSummary(nil)
 	monitorStopped := false
@@ -538,6 +513,12 @@ func (r *Runner) runSingle(ctx context.Context, setup Setup, runIdx int) (RunRes
 	}
 	defer stopMonitor()
 
+	// Phases 1 and 2: data ingestion and program execution. Every source
+	// terminates via the target-count contract (InputRecords /
+	// TargetRecords), so the two phases may overlap: in preload mode the
+	// sender completes before the cluster launches, in stream mode the
+	// sender runs concurrently with the engine and the harness joins on
+	// both.
 	w := queries.Workload{
 		Broker:       b,
 		InputTopic:   inputTopic,
@@ -556,7 +537,7 @@ func (r *Runner) runSingle(ctx context.Context, setup Setup, runIdx int) (RunRes
 		go func() {
 			// The sender gets its own track so the trace shows the
 			// ingest window overlapping execution, as in Figure 5.
-			sp := tr.Span("sender", "ingest")
+			sp := tel.Span("sender", "ingest")
 			err := r.ingest(senderCtx, b, sim)
 			sp.End()
 			if err != nil {
@@ -568,8 +549,8 @@ func (r *Runner) runSingle(ctx context.Context, setup Setup, runIdx int) (RunRes
 			}
 			senderDone <- err
 		}()
-		execSpan := tr.Span("harness", "execute")
-		execErr := r.execute(ctx, setup, w, sim, col, tr)
+		execSpan := tel.Span("harness", "execute")
+		execErr := r.execute(ctx, setup, w, sim, tel)
 		execSpan.End()
 		if execErr != nil {
 			cancelSender()
@@ -587,14 +568,14 @@ func (r *Runner) runSingle(ctx context.Context, setup Setup, runIdx int) (RunRes
 			return RunResult{}, fmt.Errorf("harness: execute %s run %d: %w", setup.Label(), runIdx, execErr)
 		}
 	} else {
-		sp := tr.Span("sender", "ingest")
+		sp := tel.Span("sender", "ingest")
 		err := r.ingest(ctx, b, sim)
 		sp.End()
 		if err != nil {
 			return RunResult{}, fmt.Errorf("harness: ingest: %w", err)
 		}
-		execSpan := tr.Span("harness", "execute")
-		err = r.execute(ctx, setup, w, sim, col, tr)
+		execSpan := tel.Span("harness", "execute")
+		err = r.execute(ctx, setup, w, sim, tel)
 		execSpan.End()
 		if err != nil {
 			return RunResult{}, fmt.Errorf("harness: execute %s run %d: %w", setup.Label(), runIdx, err)
@@ -608,7 +589,7 @@ func (r *Runner) runSingle(ctx context.Context, setup Setup, runIdx int) (RunRes
 	// Phase 3: result calculation from broker timestamps alone — the
 	// LogAppendTime span (the paper's metric) and, with telemetry on,
 	// the per-record event-time latency distribution.
-	calcSpan := tr.Span("harness", "result-calc")
+	calcSpan := tel.Span("harness", "result-calc")
 	defer calcSpan.End()
 	first, last, n, err := b.TimeSpan(outputTopic)
 	if err != nil {
@@ -633,37 +614,11 @@ func (r *Runner) runSingle(ctx context.Context, setup Setup, runIdx int) (RunRes
 	}, nil
 }
 
-// consumerLagSampler samples per-partition consumer lag for both
-// benchmark topics: end offset minus the consumers' high-watermark
-// fetch position, per partition. A topic torn down mid-run (the stream
-// sender's abort path) simply stops yielding samples.
-func consumerLagSampler(b *broker.Broker) obs.MultiSampler {
-	return func(yield func(name string, value float64)) {
-		for _, topic := range []string{inputTopic, outputTopic} {
-			ends, err := b.EndOffsets(topic)
-			if err != nil {
-				continue
-			}
-			consumed, err := b.ConsumedOffsets(topic)
-			if err != nil {
-				continue
-			}
-			for p := range ends {
-				lag := float64(ends[p] - consumed[p])
-				if lag < 0 {
-					lag = 0
-				}
-				yield("consumer-lag/"+topic+"/p"+strconv.Itoa(p), lag)
-			}
-		}
-	}
-}
-
-// consumerLagSamples is the plane's structured variant of
-// consumerLagSampler: per-partition lag for both benchmark topics,
-// scraped on demand by the exposition server. A topic torn down
-// mid-run yields no samples.
-func consumerLagSamples(b *broker.Broker) func() []obs.LagSample {
+// consumerLag probes per-partition consumer lag for both benchmark
+// topics: end offset minus the consumers' high-watermark fetch
+// position. A topic torn down mid-run (the stream sender's abort path)
+// simply yields no samples.
+func consumerLag(b *broker.Broker) func() []obs.LagSample {
 	return func() []obs.LagSample {
 		var out []obs.LagSample
 		for _, topic := range []string{inputTopic, outputTopic} {
@@ -676,11 +631,7 @@ func consumerLagSamples(b *broker.Broker) func() []obs.LagSample {
 				continue
 			}
 			for p := range ends {
-				lag := ends[p] - consumed[p]
-				if lag < 0 {
-					lag = 0
-				}
-				out = append(out, obs.LagSample{Topic: topic, Partition: p, Lag: lag})
+				out = append(out, obs.LagSample{Topic: topic, Partition: p, Lag: max(ends[p]-consumed[p], 0)})
 			}
 		}
 		return out
@@ -700,16 +651,6 @@ func topicEnds(b *broker.Broker) func() (int64, int64, bool) {
 			return 0, 0, false
 		}
 		return in, out, true
-	}
-}
-
-// stageRateSampler samples every registered stage's current-second
-// throughput from the cell's collector.
-func stageRateSampler(col *metrics.Collector) obs.MultiSampler {
-	return func(yield func(name string, value float64)) {
-		col.EachStage(func(s *metrics.Stage) {
-			yield("rate/"+s.Name(), float64(s.Current()))
-		})
 	}
 }
 
@@ -751,20 +692,20 @@ func (r *Runner) ingest(ctx context.Context, b *broker.Broker, sim *simcost.Simu
 	return sender.Close()
 }
 
-func (r *Runner) execute(ctx context.Context, setup Setup, w queries.Workload, sim *simcost.Simulator, col *metrics.Collector, tr *obs.Tracer) error {
+func (r *Runner) execute(ctx context.Context, setup Setup, w queries.Workload, sim *simcost.Simulator, tel *obs.Run) error {
 	if setup.API == APINative {
 		exec, ok := nativeExecutors[setup.System]
 		if !ok {
 			return fmt.Errorf("harness: unknown system %d", setup.System)
 		}
-		return exec(r, setup, w, sim, col, tr)
+		return exec(r, setup, w, sim, tel)
 	}
-	return r.executeBeam(ctx, setup, w, sim, col, tr)
+	return r.executeBeam(ctx, setup, w, sim, tel)
 }
 
 // executeBeam runs the Beam variant of a setup through the runner
 // registry: one code path for every engine, selected by name.
-func (r *Runner) executeBeam(ctx context.Context, setup Setup, w queries.Workload, sim *simcost.Simulator, col *metrics.Collector, tr *obs.Tracer) error {
+func (r *Runner) executeBeam(ctx context.Context, setup Setup, w queries.Workload, sim *simcost.Simulator, tel *obs.Run) error {
 	name := setup.System.RunnerName()
 	if name == "" {
 		return fmt.Errorf("harness: unknown system %d", setup.System)
@@ -782,8 +723,7 @@ func (r *Runner) executeBeam(ctx context.Context, setup Setup, w queries.Workloa
 		Fusion:        r.cfg.Fusion,
 		Costs:         &r.costs,
 		Sim:           sim,
-		Metrics:       col,
-		Trace:         tr,
+		Telemetry:     tel,
 		TargetRecords: int64(len(r.dataset)),
 	})
 	return err

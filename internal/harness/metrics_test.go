@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"beambench/internal/broker"
-	"beambench/internal/metrics"
 	"beambench/internal/obs"
 	"beambench/internal/queries"
 	"beambench/internal/simcost"
@@ -165,7 +164,7 @@ func TestNondeterminismGuard(t *testing.T) {
 	defer func() { nativeExecutors[SystemFlink] = orig }()
 
 	calls := 0
-	nativeExecutors[SystemFlink] = func(r *Runner, setup Setup, w queries.Workload, sim *simcost.Simulator, col *metrics.Collector, tr *obs.Tracer) error {
+	nativeExecutors[SystemFlink] = func(r *Runner, setup Setup, w queries.Workload, sim *simcost.Simulator, tel *obs.Run) error {
 		calls++
 		p, err := w.Broker.NewProducer(w.Producer)
 		if err != nil {
@@ -203,7 +202,7 @@ func TestNondeterminismGuardExemptsSample(t *testing.T) {
 	defer func() { nativeExecutors[SystemFlink] = orig }()
 
 	calls := 0
-	nativeExecutors[SystemFlink] = func(r *Runner, setup Setup, w queries.Workload, sim *simcost.Simulator, col *metrics.Collector, tr *obs.Tracer) error {
+	nativeExecutors[SystemFlink] = func(r *Runner, setup Setup, w queries.Workload, sim *simcost.Simulator, tel *obs.Run) error {
 		calls++
 		p, err := w.Broker.NewProducer(w.Producer)
 		if err != nil {
@@ -241,7 +240,7 @@ func TestLatencyPairingSurvivesReordering(t *testing.T) {
 	orig := nativeExecutors[SystemFlink]
 	defer func() { nativeExecutors[SystemFlink] = orig }()
 
-	nativeExecutors[SystemFlink] = func(r *Runner, setup Setup, w queries.Workload, sim *simcost.Simulator, col *metrics.Collector, tr *obs.Tracer) error {
+	nativeExecutors[SystemFlink] = func(r *Runner, setup Setup, w queries.Workload, sim *simcost.Simulator, tel *obs.Run) error {
 		c, err := w.Broker.NewConsumer(broker.ConsumerConfig{MaxPollRecords: 100_000})
 		if err != nil {
 			return err
@@ -290,7 +289,7 @@ func TestLatencyMismatchSurfaces(t *testing.T) {
 	orig := nativeExecutors[SystemFlink]
 	defer func() { nativeExecutors[SystemFlink] = orig }()
 
-	nativeExecutors[SystemFlink] = func(r *Runner, setup Setup, w queries.Workload, sim *simcost.Simulator, col *metrics.Collector, tr *obs.Tracer) error {
+	nativeExecutors[SystemFlink] = func(r *Runner, setup Setup, w queries.Workload, sim *simcost.Simulator, tel *obs.Run) error {
 		p, err := w.Broker.NewProducer(w.Producer)
 		if err != nil {
 			return err

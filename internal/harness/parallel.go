@@ -91,8 +91,11 @@ func (r *Runner) RunMatrix(ctx context.Context, qs []queries.Query, workers int)
 				errs[j.idx] = err
 				if err != nil {
 					// First-error propagation: stop dispatching new
-					// cells; in-flight cells drain at their next
-					// between-run cancellation check.
+					// cells. In-flight cells stop at their next
+					// cancellation check: before each run, run 0
+					// included, and before a Beam runner launches. A
+					// cell dispatched just before the failure can
+					// therefore end with no completed run.
 					cancel()
 				}
 			}

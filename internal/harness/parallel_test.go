@@ -3,10 +3,14 @@ package harness
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"beambench/internal/obs"
 	"beambench/internal/queries"
+	"beambench/internal/simcost"
 )
 
 // matrixCellCount is the full matrix size with two parallelisms:
@@ -129,14 +133,35 @@ func TestNegativeWorkersRejected(t *testing.T) {
 // TestRunMatrixPreservesPartialResultsOnError forces a mid-matrix
 // failure (a parallelism far beyond any simulated cluster's capacity)
 // and checks that both the sequential and the parallel paths return the
-// completed cells alongside the error instead of discarding them.
+// completed cells alongside the error instead of discarding them. The
+// failing cell (native Apex at P2, run at an oversized parallelism)
+// starts only once another cell has completed: cells already in flight
+// when the matrix is cancelled may stop at their first run, so without
+// that ordering the parallel path could legitimately finish no cell.
 func TestRunMatrixPreservesPartialResultsOnError(t *testing.T) {
-	cfg := fastConfig()
-	cfg.Records = 200
-	cfg.Runs = 1
-	cfg.Parallelisms = []int{1, 1 << 20}
+	orig := nativeExecutors[SystemApex]
+	defer func() { nativeExecutors[SystemApex] = orig }()
+	failing := Setup{System: SystemApex, API: APINative, Query: queries.Identity, Parallelism: 2}
 
 	for _, workers := range []int{1, 4} {
+		cellDone := make(chan struct{})
+		var once sync.Once
+		cfg := fastConfig()
+		cfg.Records = 200
+		cfg.Runs = 1
+		cfg.Progress = func(string) { once.Do(func() { close(cellDone) }) }
+		nativeExecutors[SystemApex] = func(r *Runner, setup Setup, w queries.Workload, sim *simcost.Simulator, tel *obs.Run) error {
+			if setup != failing {
+				return orig(r, setup, w, sim, tel)
+			}
+			select {
+			case <-cellDone:
+			case <-time.After(time.Minute):
+				return errors.New("no cell completed before the failing one")
+			}
+			setup.Parallelism = 1 << 20
+			return orig(r, setup, w, sim, tel)
+		}
 		r, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -152,7 +177,7 @@ func TestRunMatrixPreservesPartialResultsOnError(t *testing.T) {
 			t.Errorf("workers=%d: no completed cells preserved", workers)
 		}
 		for _, c := range rep.Cells {
-			if c.Setup.Parallelism == 1<<20 && len(c.TimesSec) > 0 {
+			if c.Setup == failing && len(c.TimesSec) > 0 {
 				t.Errorf("workers=%d: impossible cell %s reported results", workers, c.Setup.Label())
 			}
 		}

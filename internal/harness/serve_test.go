@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"beambench/internal/beam"
-	"beambench/internal/metrics"
 	"beambench/internal/obs"
 	"beambench/internal/queries"
 	"beambench/internal/simcost"
@@ -242,7 +241,7 @@ func TestServeMidRunConformance(t *testing.T) {
 func TestSkippedCellReachesPlane(t *testing.T) {
 	orig := nativeExecutors[SystemApex]
 	defer func() { nativeExecutors[SystemApex] = orig }()
-	nativeExecutors[SystemApex] = func(r *Runner, setup Setup, w queries.Workload, sim *simcost.Simulator, col *metrics.Collector, tr *obs.Tracer) error {
+	nativeExecutors[SystemApex] = func(r *Runner, setup Setup, w queries.Workload, sim *simcost.Simulator, tel *obs.Run) error {
 		return fmt.Errorf("stub: %w: pretend the engine cannot run %s", beam.ErrUnsupported, setup.Query)
 	}
 	plane := obs.NewPlane(50, 1)

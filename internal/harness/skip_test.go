@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"beambench/internal/beam"
-	"beambench/internal/metrics"
 	"beambench/internal/obs"
 	"beambench/internal/queries"
 	"beambench/internal/simcost"
@@ -21,7 +20,7 @@ import (
 func TestUnsupportedCellRecordedAsSkipped(t *testing.T) {
 	orig := nativeExecutors[SystemApex]
 	defer func() { nativeExecutors[SystemApex] = orig }()
-	nativeExecutors[SystemApex] = func(r *Runner, setup Setup, w queries.Workload, sim *simcost.Simulator, col *metrics.Collector, tr *obs.Tracer) error {
+	nativeExecutors[SystemApex] = func(r *Runner, setup Setup, w queries.Workload, sim *simcost.Simulator, tel *obs.Run) error {
 		return fmt.Errorf("stub: %w: pretend the engine cannot run %s", beam.ErrUnsupported, setup.Query)
 	}
 
@@ -100,7 +99,7 @@ func TestUnsupportedCellRecordedAsSkipped(t *testing.T) {
 func TestNonUnsupportedErrorStillAborts(t *testing.T) {
 	orig := nativeExecutors[SystemApex]
 	defer func() { nativeExecutors[SystemApex] = orig }()
-	nativeExecutors[SystemApex] = func(r *Runner, setup Setup, w queries.Workload, sim *simcost.Simulator, col *metrics.Collector, tr *obs.Tracer) error {
+	nativeExecutors[SystemApex] = func(r *Runner, setup Setup, w queries.Workload, sim *simcost.Simulator, tel *obs.Run) error {
 		return fmt.Errorf("stub: engine exploded")
 	}
 	cfg := fastConfig()

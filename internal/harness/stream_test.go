@@ -41,7 +41,7 @@ func runModeOutputs(t *testing.T, r *Runner, setup Setup, mode IngestMode) []str
 	} else {
 		senderDone <- r.ingest(context.Background(), b, sim)
 	}
-	if err := r.execute(context.Background(), setup, w, sim, nil, nil); err != nil {
+	if err := r.execute(context.Background(), setup, w, sim, nil); err != nil {
 		t.Fatalf("%s %s (%s): %v", setup.Label(), setup.Query, mode, err)
 	}
 	if err := <-senderDone; err != nil {

@@ -97,11 +97,6 @@ func MustSketch(targets ...Target) *Sketch {
 	return s
 }
 
-// Targets returns the configured accuracy targets.
-func (s *Sketch) Targets() []Target {
-	return append([]Target(nil), s.targets...)
-}
-
 // Insert adds one observation.
 func (s *Sketch) Insert(v float64) {
 	s.buf = append(s.buf, v)

@@ -5,11 +5,20 @@
 // # Contract
 //
 // Everything in this package follows the nil-safe collector pattern
-// established by internal/metrics: a nil *Tracer, nil *Gauge, nil
-// *Monitor, or zero Span is a valid, fully disabled instance — every
-// method is a no-op and the record hot path performs zero allocations.
-// Callers therefore thread a single *Tracer through engine configs
-// unconditionally and never branch on "is tracing on".
+// established by internal/metrics: a nil *Tracer, nil *Run, nil *Gauge,
+// nil *Monitor, or zero Span is a valid, fully disabled instance —
+// every method is a no-op and the record hot path performs zero
+// allocations.
+//
+// A run's telemetry travels as one value, the *Run handle. The harness
+// builds it once per benchmark run from the run's tracer scope (nil
+// unless tracing is on), the cell's metrics collector (nil unless
+// metrics are on) and the run broker's consumer-lag and topic-end
+// probes, and threads it through every engine config unconditionally;
+// engines call Span, Instant, Gauge and Stage on it and never branch on
+// "is telemetry on". The handle keeps watermark gauges only when
+// someone can read them — the trace monitor or a live plane — so a run
+// with neither stores nothing.
 //
 // Timestamps are monotonic. A Tracer reads the wall clock exactly once,
 // at construction, to anchor the trace; every event time after that is
@@ -26,35 +35,38 @@
 // allocates after the ring is built. The trace exports as Chrome
 // trace-event JSON (WriteChromeTrace) and opens directly in Perfetto
 // or chrome://tracing. Gauges hold the latest value of a sampled
-// quantity (consumer offsets, watermarks) in an atomic; the Monitor
-// goroutine turns them into counter tracks at a configurable cadence
-// and into per-run max/mean summaries for the report.
+// quantity (an operator's watermark) in an atomic. On a traced run the
+// Monitor goroutine reads the run's handle at a configurable cadence —
+// consumer lag from the broker probe, stage rates from the collector,
+// watermark lag from the gauges — and turns each reading into a counter
+// track and into per-run max/mean summaries for the report.
 //
 // # Watermark-lag semantics
 //
 // Event times in this benchmark are synthetic (the AOL QueryTime
 // column), so "processing time minus watermark" is meaningless.
-// Watermark lag is instead frontier-relative: at each sample the
-// monitor takes the most advanced live watermark across the run's
-// operators as the frontier and reports each operator's distance
-// behind it, in seconds. An operator at watermark.EndOfTime has
-// drained and reports zero lag. WatermarkLags applies the same
-// computation on demand for the snapshot path.
+// Watermark lag is instead frontier-relative: at each reading the most
+// advanced live watermark across the run's operators is the frontier,
+// and each operator reports its distance behind it, in seconds. An
+// operator at watermark.EndOfTime has drained and reports zero lag.
+// One function computes it, for both the Monitor's ticks and the
+// Plane's scrapes.
 //
 // # Snapshots and exposition
 //
 // The Plane is the pull-based live-telemetry registry: the harness
 // registers every matrix cell on it (pending -> running -> done /
-// skipped / failed) and attaches each run's live sources (the metrics
-// collector, the run-scoped tracer's gauge registry, and two broker
-// accessors for consumer lag and topic end offsets). Nothing is
-// sampled until someone asks: Snapshot() walks the cells and reads
-// each source at call time, so a plane attached to a run that nobody
-// scrapes costs exactly the field assignments in StartRun/EndRun.
-// Consistency is per-cell — each cell's fields are read under its own
-// short mutex hold, never under a global lock, and none of the sources
-// sit on a per-record path (the collector is internally locked, gauges
-// are atomics, broker accessors take broker-internal locks).
+// skipped / failed) and attaches each run's telemetry handle
+// (LiveCell.StartRun). Nothing is sampled until someone asks:
+// Snapshot() walks the cells and reads each handle at call time — the
+// collector's stages and latency sketch, the watermark gauges, and the
+// broker's consumer-lag and topic-end probes — so a plane attached to
+// a run that nobody scrapes costs exactly the field assignments in
+// StartRun/EndRun. Consistency is per-cell — each cell's fields are
+// read under its own short mutex hold, never under a global lock, and
+// none of the reads sit on a per-record path (the collector is
+// internally locked, gauges are atomics, the broker probes take
+// broker-internal locks).
 //
 // Serve exposes the plane over HTTP: /metrics in OpenMetrics text
 // exposition (hand-rolled writer + strict parser in openmetrics.go, no
@@ -63,5 +75,5 @@
 // contract applies end to end: a nil *Plane is a valid disabled plane
 // — Cell returns a nil *LiveCell whose lifecycle methods no-op, and a
 // nil plane still serves the empty snapshot — so the harness threads
-// Config.Plane unconditionally, exactly like Config.Trace.
+// Config.Plane unconditionally, exactly like the run handle.
 package obs

@@ -5,23 +5,21 @@ import (
 	"time"
 
 	"beambench/internal/broker"
+	"beambench/internal/metrics"
 )
 
 func TestMonitorSamplesAndSummaries(t *testing.T) {
 	tr := NewTracer(1 << 10)
 	scope := tr.Scoped("cell/run0")
-	m := NewMonitor(scope, time.Millisecond)
-
-	var lag float64 = 10
-	m.Sample("consumer-lag/input/p0", func() (float64, bool) {
+	col := metrics.NewCollector()
+	col.Stage("source").Mark(3)
+	var lag int64 = 10
+	run := NewRun(scope, col, false, func() []LagSample {
 		v := lag
-		lag -= 1
-		if lag < 0 {
-			lag = 0
-		}
-		return v, true
-	})
-	m.Sample("skipped", func() (float64, bool) { return 99, false })
+		lag = max(lag-1, 0)
+		return []LagSample{{Topic: "input", Partition: 0, Lag: v}}
+	}, nil)
+	m := NewMonitor(run, time.Millisecond)
 	m.Start()
 	time.Sleep(10 * time.Millisecond)
 	sums := m.Stop()
@@ -45,8 +43,11 @@ func TestMonitorSamplesAndSummaries(t *testing.T) {
 	if got.Mean <= 0 || got.Mean > 10 {
 		t.Errorf("mean = %v out of range", got.Mean)
 	}
-	if _, ok := byName["skipped"]; ok {
-		t.Error("sampler returning ok=false produced a series")
+	if _, ok := byName["rate/source"]; !ok {
+		t.Errorf("no stage-rate summary; got %+v", sums)
+	}
+	if len(sums) != 2 {
+		t.Errorf("got %d series, want consumer lag and one stage rate: %+v", len(sums), sums)
 	}
 	// Counter events landed in the shared ring under the scope prefix.
 	found := false
@@ -66,9 +67,10 @@ func TestMonitorSamplesAndSummaries(t *testing.T) {
 }
 
 func TestMonitorFinalTickCoversShortRuns(t *testing.T) {
-	tr := NewTracer(64)
-	m := NewMonitor(tr, time.Hour) // cadence far beyond the run
-	m.Sample("x", func() (float64, bool) { return 7, true })
+	run := NewRun(NewTracer(64), nil, false, func() []LagSample {
+		return []LagSample{{Topic: "x", Partition: 0, Lag: 7}}
+	}, nil)
+	m := NewMonitor(run, time.Hour) // cadence far beyond the run
 	m.Start()
 	sums := m.Stop()
 	if len(sums) != 1 || sums[0].Samples != 1 || sums[0].Last != 7 {
@@ -77,12 +79,12 @@ func TestMonitorFinalTickCoversShortRuns(t *testing.T) {
 }
 
 func TestMonitorWatermarkLagIsFrontierRelative(t *testing.T) {
-	tr := NewTracer(256)
-	m := NewMonitor(tr, time.Hour)
-	ahead := tr.Gauge("watermark-lag/source")
-	behind := tr.Gauge("watermark-lag/gbk")
-	unset := tr.Gauge("watermark-lag/idle")
-	done := tr.Gauge("watermark-lag/sink")
+	run := NewRun(NewTracer(256), nil, false, nil, nil)
+	m := NewMonitor(run, time.Hour)
+	ahead := run.Gauge("watermark-lag/source")
+	behind := run.Gauge("watermark-lag/gbk")
+	unset := run.Gauge("watermark-lag/idle")
+	done := run.Gauge("watermark-lag/sink")
 	_ = unset
 
 	base := time.Unix(1000, 0)
@@ -178,21 +180,22 @@ func TestConsumerLagPerPartitionP2(t *testing.T) {
 		t.Fatalf("consumed offsets = %v, want [2 4]", consumed)
 	}
 
-	// Wire the same derivation the harness monitor uses and check the
-	// per-partition counter tracks disagree — lag is not an aggregate.
-	tr := NewTracer(256)
-	m := NewMonitor(tr, time.Hour)
-	for p := 0; p < 2; p++ {
-		part := p
-		m.Sample("consumer-lag/in/p"+string(rune('0'+part)), func() (float64, bool) {
-			ends, err1 := b.EndOffsets("in")
-			cons, err2 := b.ConsumedOffsets("in")
-			if err1 != nil || err2 != nil {
-				return 0, false
-			}
-			return float64(ends[part] - cons[part]), true
-		})
-	}
+	// Wire the same derivation the harness's consumer-lag probe uses and
+	// check the per-partition counter tracks disagree — lag is not an
+	// aggregate.
+	run := NewRun(NewTracer(256), nil, false, func() []LagSample {
+		ends, err1 := b.EndOffsets("in")
+		cons, err2 := b.ConsumedOffsets("in")
+		if err1 != nil || err2 != nil {
+			return nil
+		}
+		out := make([]LagSample, len(ends))
+		for p := range ends {
+			out[p] = LagSample{Topic: "in", Partition: p, Lag: ends[p] - cons[p]}
+		}
+		return out
+	}, nil)
+	m := NewMonitor(run, time.Hour)
 	m.Start()
 	sums := m.Stop()
 	byName := map[string]GaugeSummary{}

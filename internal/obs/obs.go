@@ -3,7 +3,6 @@ package obs
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -43,19 +42,15 @@ type core struct {
 }
 
 // Tracer records spans, instants, and counter samples into a shared
-// ring, and owns a registry of named gauges. A nil Tracer is a valid
-// disabled tracer: every method no-ops and allocates nothing.
+// ring. A nil Tracer is a valid disabled tracer: every method no-ops
+// and allocates nothing.
 //
-// Scoped returns a view that prefixes track and gauge names, sharing
-// the parent's ring; the harness gives each cell run its own scope so
-// concurrent runs stay distinguishable in one trace file.
+// Scoped returns a view that prefixes track names, sharing the parent's
+// ring; the harness gives each cell run its own scope so concurrent
+// runs stay distinguishable in one trace file.
 type Tracer struct {
 	core   *core
 	prefix string
-
-	mu     sync.Mutex
-	gauges map[string]*Gauge
-	order  []string
 }
 
 // NewTracer builds a tracer whose ring holds up to capacity events;
@@ -71,10 +66,8 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{core: &core{anchor: anchor, buf: make([]Event, capacity)}}
 }
 
-// Scoped returns a tracer view whose track and gauge names are
-// prefixed with prefix + "/". It shares the parent's ring and anchor
-// but owns its own gauge registry, so Gauges() reports only this
-// scope's gauges. Nil-safe.
+// Scoped returns a tracer view whose track names are prefixed with
+// prefix + "/". It shares the parent's ring and anchor. Nil-safe.
 func (t *Tracer) Scoped(prefix string) *Tracer {
 	if t == nil {
 		return nil
@@ -186,82 +179,6 @@ func (t *Tracer) Dropped() uint64 {
 		return 0
 	}
 	return c.seq - uint64(len(c.buf))
-}
-
-// Gauge holds the most recent value of a sampled quantity. Writers set
-// it from the hot path with a single atomic store; the Monitor reads
-// it at its own cadence. A nil Gauge no-ops.
-type Gauge struct {
-	name string
-	v    atomic.Int64
-}
-
-// Gauge returns the gauge registered under name in this scope,
-// creating it on first use. Nil-safe: a nil tracer returns a nil
-// gauge, whose Set/SetTime are no-ops.
-func (t *Tracer) Gauge(name string) *Gauge {
-	if t == nil {
-		return nil
-	}
-	full := t.track(name)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if g, ok := t.gauges[full]; ok {
-		return g
-	}
-	if t.gauges == nil {
-		t.gauges = make(map[string]*Gauge)
-	}
-	g := &Gauge{name: full}
-	t.gauges[full] = g
-	t.order = append(t.order, full)
-	return g
-}
-
-// Set stores a raw value.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// SetTime stores a timestamp (e.g. a watermark) as Unix nanoseconds.
-func (g *Gauge) SetTime(ts time.Time) {
-	if g == nil {
-		return
-	}
-	g.v.Store(ts.UnixNano())
-}
-
-// Load returns the last stored value, zero if never set or nil.
-func (g *Gauge) Load() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
-// Name is the gauge's fully scoped name.
-func (g *Gauge) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
-}
-
-// Gauges snapshots this scope's gauges in first-use order.
-func (t *Tracer) Gauges() []*Gauge {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]*Gauge, 0, len(t.order))
-	for _, name := range t.order {
-		out = append(out, t.gauges[name])
-	}
-	return out
 }
 
 // sortEvents orders a snapshot by start offset for export; recording

@@ -3,6 +3,8 @@ package obs
 import (
 	"testing"
 	"time"
+
+	"beambench/internal/metrics"
 )
 
 func TestSpanAndInstantRecording(t *testing.T) {
@@ -57,31 +59,33 @@ func TestScopedPrefixesTracksAndGauges(t *testing.T) {
 	tr := NewTracer(16)
 	scope := tr.Scoped("flink native WindowedCount/run0")
 	scope.Span("harness", "execute").End()
-	g := scope.Gauge("watermark-lag/GroupByKey")
-	if got, want := g.Name(), "flink native WindowedCount/run0/watermark-lag/GroupByKey"; got != want {
-		t.Errorf("gauge name = %q, want %q", got, want)
-	}
 	evs := tr.Events() // scope shares the parent ring
 	if len(evs) != 1 || evs[0].Track != "flink native WindowedCount/run0/harness" {
 		t.Fatalf("events = %+v, want one span on the scoped track", evs)
 	}
 	// Nested scopes compose.
 	inner := scope.Scoped("sub")
-	if got := inner.Gauge("g").Name(); got != "flink native WindowedCount/run0/sub/g" {
-		t.Errorf("nested gauge name = %q", got)
+	inner.Instant("i", "x")
+	if evs := tr.Events(); len(evs) != 2 || evs[1].Track != "flink native WindowedCount/run0/sub/i" {
+		t.Errorf("nested scope events = %+v", evs)
 	}
-	// The parent's gauge registry is per scope.
-	if n := len(tr.Gauges()); n != 0 {
-		t.Errorf("root tracer has %d gauges, want 0", n)
+	// A run's gauges keep the bare name the engine chose; the scope
+	// prefixes only the counter track the monitor records them on.
+	run := NewRun(scope, nil, false, nil, nil)
+	run.Gauge("watermark-lag/GroupByKey").SetTime(time.Unix(5, 0))
+	m := NewMonitor(run, time.Hour)
+	m.Start()
+	if sums := m.Stop(); len(sums) != 1 || sums[0].Name != "watermark-lag/GroupByKey" {
+		t.Errorf("summaries = %+v, want the bare gauge name", sums)
 	}
-	if n := len(scope.Gauges()); n != 1 {
-		t.Errorf("scope has %d gauges, want 1", n)
+	evs = tr.Events()
+	if last := evs[len(evs)-1]; last.Phase != PhaseCounter || last.Track != "flink native WindowedCount/run0/watermark-lag/GroupByKey" {
+		t.Errorf("counter event = %+v, want it on the scoped track", last)
 	}
 }
 
 func TestGaugeSetTime(t *testing.T) {
-	tr := NewTracer(4)
-	g := tr.Gauge("wm")
+	g := NewRun(nil, nil, true, nil, nil).Gauge("wm")
 	ts := time.Unix(10, 500)
 	g.SetTime(ts)
 	if got := g.Load(); got != ts.UnixNano() {
@@ -94,46 +98,63 @@ func TestGaugeSetTime(t *testing.T) {
 }
 
 // TestNilTracerIsDisabled pins the nil-safe contract: every method on a
-// nil tracer, gauge, span, and monitor is a no-op.
+// nil tracer, run handle, gauge, span, and monitor is a no-op.
 func TestNilTracerIsDisabled(t *testing.T) {
 	var tr *Tracer
 	sp := tr.Span("a", "b")
 	sp.End()
 	tr.Instant("a", "b")
 	tr.Counter("a", 1)
-	tr.Gauge("g").Set(1)
-	tr.Gauge("g").SetTime(time.Unix(1, 0))
-	if tr.Gauge("g").Load() != 0 {
-		t.Error("nil gauge Load() != 0")
-	}
 	if tr.Scoped("x") != nil {
 		t.Error("nil.Scoped() != nil")
 	}
-	if tr.Events() != nil || tr.Dropped() != 0 || tr.Gauges() != nil {
+	if tr.Events() != nil || tr.Dropped() != 0 {
 		t.Error("nil tracer reports state")
+	}
+	var run *Run
+	if NewRun(nil, nil, false, nil, nil) != nil {
+		t.Error("NewRun with no tracer, collector or plane != nil")
+	}
+	run.Span("a", "b").End()
+	run.Instant("a", "b")
+	run.Stage("s").Mark(1)
+	run.Gauge("g").Set(1)
+	run.Gauge("g").SetTime(time.Unix(1, 0))
+	if run.Gauge("g").Load() != 0 {
+		t.Error("nil gauge Load() != 0")
+	}
+	// Metrics alone: no reader for gauges, so none is kept.
+	if g := NewRun(nil, metrics.NewCollector(), false, nil, nil).Gauge("g"); g != nil {
+		t.Error("metrics-only run keeps gauges")
 	}
 	if m := NewMonitor(nil, time.Millisecond); m != nil {
 		t.Error("NewMonitor(nil) != nil")
 	}
+	if m := NewMonitor(NewRun(nil, nil, true, nil, nil), time.Millisecond); m != nil {
+		t.Error("NewMonitor on an untraced run != nil")
+	}
 	var m *Monitor
-	m.Sample("s", func() (float64, bool) { return 0, true })
-	m.SampleEach(func(func(string, float64)) {})
 	m.Start()
 	if m.Stop() != nil {
 		t.Error("nil monitor Stop() != nil")
 	}
 }
 
-// TestNilHotPathAllocations is the acceptance criterion: with tracing
+// TestNilHotPathAllocations is the acceptance criterion: with telemetry
 // disabled, the record hot path performs zero allocations.
 func TestNilHotPathAllocations(t *testing.T) {
 	var tr *Tracer
-	g := tr.Gauge("wm")
+	var run *Run
+	g := run.Gauge("wm")
 	allocs := testing.AllocsPerRun(1000, func() {
 		sp := tr.Span("track", "name")
 		tr.Instant("track", "name")
 		tr.Counter("track", 1)
+		rs := run.Span("track", "name")
+		run.Instant("track", "name")
+		run.Stage("s").Mark(1)
 		g.Set(7)
+		rs.End()
 		sp.End()
 	})
 	if allocs != 0 {
@@ -144,10 +165,10 @@ func TestNilHotPathAllocations(t *testing.T) {
 // TestEnabledHotPathAllocations: an enabled tracer's record path reuses
 // the preallocated ring — recording itself must not allocate either.
 func TestEnabledHotPathAllocations(t *testing.T) {
-	tr := NewTracer(1 << 10)
-	g := tr.Gauge("wm")
+	run := NewRun(NewTracer(1<<10), nil, false, nil, nil)
+	g := run.Gauge("wm")
 	allocs := testing.AllocsPerRun(1000, func() {
-		sp := tr.Span("track", "name")
+		sp := run.Span("track", "name")
 		g.Set(7)
 		sp.End()
 	})

@@ -20,15 +20,12 @@ func populatedPlane(t *testing.T) *Plane {
 	col.Stage("source").Mark(42)
 	col.ObserveLatency(100 * time.Millisecond)
 
-	tr := NewTracer(4).Scoped(`cell "weird\name/run0`)
-	tr.Gauge("watermark-lag/op").SetTime(time.Unix(50, 0))
+	run := NewRun(NewTracer(4).Scoped(`cell "weird\name/run0`), col, true,
+		func() []LagSample { return []LagSample{{Topic: "input", Partition: 1, Lag: 9}} },
+		func() (int64, int64, bool) { return 100, 42, true })
+	run.Gauge("watermark-lag/op").SetTime(time.Unix(50, 0))
 
-	p.Cell(`cell "weird\name`).StartRun(CellSources{
-		Collector:   col,
-		Tracer:      tr,
-		ConsumerLag: func() []LagSample { return []LagSample{{Topic: "input", Partition: 1, Lag: 9}} },
-		TopicEnds:   func() (int64, int64, bool) { return 100, 42, true },
-	})
+	p.Cell(`cell "weird\name`).StartRun(run)
 	return p
 }
 

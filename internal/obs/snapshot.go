@@ -2,7 +2,6 @@ package obs
 
 import (
 	"sort"
-	"strings"
 	"sync"
 
 	"beambench/internal/metrics"
@@ -106,28 +105,6 @@ type Snapshot struct {
 	Cells     []CellSnapshot `json:"cells"`
 }
 
-// CellSources are the live handles a cell's current run exposes to the
-// plane. Every field is optional; nil fields simply yield no samples.
-// All of them must be safe for concurrent use at scrape cadence — the
-// plane calls them from the HTTP handler goroutine while the run
-// executes (the collector is internally locked, gauges are atomics,
-// and the broker accessors take broker-internal locks; none of these
-// sit on the per-record hot path).
-type CellSources struct {
-	// Collector is the cell's metrics collector (stages + latency).
-	Collector *metrics.Collector
-	// Tracer is the run-scoped tracer whose gauge registry carries the
-	// engines' watermark gauges.
-	Tracer *Tracer
-	// ConsumerLag samples per-partition consumer lag from the run's
-	// broker.
-	ConsumerLag func() []LagSample
-	// TopicEnds reports the input and output topics' record counts
-	// (end offsets); ok=false when the broker cannot answer (topic torn
-	// down mid-run).
-	TopicEnds func() (in, out int64, ok bool)
-}
-
 // LiveCell is one matrix cell's registration on the plane. The harness
 // drives its lifecycle: StartRun when a run launches, EndRun when it
 // finishes, Finish when the cell completes. A nil LiveCell no-ops.
@@ -138,9 +115,13 @@ type LiveCell struct {
 	state      CellState
 	runsDone   int
 	skipReason string
-	src        CellSources
-	lastIn     int64
-	lastOut    int64
+	// run is the executing run's telemetry handle, nil between runs.
+	run *Run
+	// col is the cell's collector; its stage totals and latency sketch
+	// persist across runs, so it outlives each run's handle.
+	col     *metrics.Collector
+	lastIn  int64
+	lastOut int64
 }
 
 // Plane is the live telemetry plane: the registry of matrix cells the
@@ -203,36 +184,34 @@ func (p *Plane) cellLocked(key string) *LiveCell {
 	return lc
 }
 
-// StartRun attaches a run's live sources and marks the cell running.
-// Nil-safe.
-func (lc *LiveCell) StartRun(src CellSources) {
+// StartRun attaches a run's telemetry handle and marks the cell
+// running. Nil-safe.
+func (lc *LiveCell) StartRun(run *Run) {
 	if lc == nil {
 		return
 	}
 	lc.mu.Lock()
 	lc.state = CellRunning
-	lc.src = src
+	lc.run = run
+	if run != nil {
+		lc.col = run.col
+	}
 	lc.mu.Unlock()
 }
 
-// EndRun records a completed run and detaches the run's broker-backed
-// sources (the broker is about to be discarded), keeping the final
-// topic end offsets and the collector, whose stage totals and latency
-// sketch persist across runs. Nil-safe.
+// EndRun records a completed run and detaches its handle (the run's
+// broker is about to be discarded), keeping the final topic end offsets
+// and the cell's collector. Nil-safe.
 func (lc *LiveCell) EndRun() {
 	if lc == nil {
 		return
 	}
 	lc.mu.Lock()
-	if lc.src.TopicEnds != nil {
-		if in, out, ok := lc.src.TopicEnds(); ok {
-			lc.lastIn, lc.lastOut = in, out
-		}
+	if in, out, ok := lc.run.topicEnds(); ok {
+		lc.lastIn, lc.lastOut = in, out
 	}
 	lc.runsDone++
-	lc.src.ConsumerLag = nil
-	lc.src.TopicEnds = nil
-	lc.src.Tracer = nil
+	lc.run = nil
 	lc.mu.Unlock()
 }
 
@@ -255,7 +234,7 @@ func (lc *LiveCell) snapshot() CellSnapshot {
 	state := lc.state
 	runsDone := lc.runsDone
 	reason := lc.skipReason
-	src := lc.src
+	run, col := lc.run, lc.col
 	in, out := lc.lastIn, lc.lastOut
 	lc.mu.Unlock()
 
@@ -267,29 +246,21 @@ func (lc *LiveCell) snapshot() CellSnapshot {
 		InputRecords:  in,
 		OutputRecords: out,
 	}
-	if src.TopicEnds != nil {
-		if i, o, ok := src.TopicEnds(); ok {
-			cs.InputRecords, cs.OutputRecords = i, o
-		}
+	if i, o, ok := run.topicEnds(); ok {
+		cs.InputRecords, cs.OutputRecords = i, o
 	}
-	if src.ConsumerLag != nil {
-		cs.ConsumerLag = src.ConsumerLag()
-	}
-	if src.Tracer != nil {
-		cs.WatermarkLag = WatermarkLags(src.Tracer)
-	}
-	if src.Collector != nil {
-		src.Collector.EachStage(func(s *metrics.Stage) {
-			cs.Stages = append(cs.Stages, StageSnapshot{
-				Name:        s.Name(),
-				Records:     s.Records(),
-				CurrentRate: s.Current(),
-			})
+	cs.ConsumerLag = run.consumerLag()
+	cs.WatermarkLag = run.watermarkLags()
+	col.EachStage(func(s *metrics.Stage) {
+		cs.Stages = append(cs.Stages, StageSnapshot{
+			Name:        s.Name(),
+			Records:     s.Records(),
+			CurrentRate: s.Current(),
 		})
-		sort.Slice(cs.Stages, func(i, j int) bool { return cs.Stages[i].Name < cs.Stages[j].Name })
-		if lat := src.Collector.LatencySummary(); lat.Count > 0 {
-			cs.Latency = &lat
-		}
+	})
+	sort.Slice(cs.Stages, func(i, j int) bool { return cs.Stages[i].Name < cs.Stages[j].Name })
+	if lat := col.LatencySummary(); lat.Count > 0 {
+		cs.Latency = &lat
 	}
 	return cs
 }
@@ -338,53 +309,4 @@ func (p *Plane) Snapshot() Snapshot {
 		}
 	}
 	return snap
-}
-
-// WatermarkLags converts a run-scoped tracer's watermark gauges into
-// frontier-relative lag, the same computation the Monitor performs per
-// tick (see the package comment): the most advanced live watermark
-// defines the frontier, each operator reports its distance behind it,
-// a drained operator (EndOfTime) reports zero, and a gauge never set
-// yields no sample. Gauge names arrive fully scoped
-// ("cell/runN/watermark-lag/op"); the operator label is the bare
-// segment after the "watermark-lag/" marker.
-func WatermarkLags(tr *Tracer) []WatermarkLag {
-	gauges := tr.Gauges()
-	if len(gauges) == 0 {
-		return nil
-	}
-	var frontier int64
-	for _, g := range gauges {
-		v := g.Load()
-		if v != 0 && v != endOfTimeNanos && v > frontier {
-			frontier = v
-		}
-	}
-	out := make([]WatermarkLag, 0, len(gauges))
-	for _, g := range gauges {
-		v := g.Load()
-		if v == 0 {
-			continue
-		}
-		lag := 0.0
-		if v != endOfTimeNanos {
-			lag = float64(frontier-v) / 1e9
-			if lag < 0 {
-				lag = 0
-			}
-		}
-		out = append(out, WatermarkLag{Operator: operatorLabel(g.Name()), LagSec: lag})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Operator < out[j].Operator })
-	return out
-}
-
-// operatorLabel strips the scope prefix up to and including the
-// "watermark-lag/" marker, leaving the operator name the engine chose.
-func operatorLabel(name string) string {
-	const marker = "watermark-lag/"
-	if i := strings.Index(name, marker); i >= 0 {
-		return name[i+len(marker):]
-	}
-	return name
 }

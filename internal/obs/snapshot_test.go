@@ -15,7 +15,7 @@ func TestPlaneNilSafe(t *testing.T) {
 	if lc != nil {
 		t.Fatalf("nil plane returned non-nil cell")
 	}
-	lc.StartRun(CellSources{})
+	lc.StartRun(nil)
 	lc.EndRun()
 	lc.Finish(CellDone, "")
 	snap := p.Snapshot()
@@ -45,11 +45,9 @@ func TestPlaneLifecycle(t *testing.T) {
 	col.ObserveLatency(250 * time.Millisecond)
 
 	lc := p.Cell("cell-b")
-	lc.StartRun(CellSources{
-		Collector:   col,
-		ConsumerLag: func() []LagSample { return []LagSample{{Topic: "input", Partition: 0, Lag: 3}} },
-		TopicEnds:   func() (int64, int64, bool) { return 10, 7, true },
-	})
+	lc.StartRun(NewRun(nil, col, true,
+		func() []LagSample { return []LagSample{{Topic: "input", Partition: 0, Lag: 3}} },
+		func() (int64, int64, bool) { return 10, 7, true }))
 
 	snap = p.Snapshot()
 	if snap.Progress.Running != 1 || snap.Progress.Pending != 2 {
@@ -128,11 +126,11 @@ func TestPlaneCellOrderIsRegistrationOrder(t *testing.T) {
 }
 
 func TestWatermarkLags(t *testing.T) {
-	tr := NewTracer(8).Scoped("Flink P2 WindowedCount/run0")
-	ahead := tr.Gauge("watermark-lag/source")
-	behind := tr.Gauge("watermark-lag/window")
-	drained := tr.Gauge("watermark-lag/sink")
-	unset := tr.Gauge("watermark-lag/idle")
+	run := NewRun(nil, nil, true, nil, nil)
+	ahead := run.Gauge("watermark-lag/source")
+	behind := run.Gauge("watermark-lag/window")
+	drained := run.Gauge("watermark-lag/sink")
+	unset := run.Gauge("watermark-lag/idle")
 	_ = unset
 
 	base := time.Unix(100, 0)
@@ -140,7 +138,7 @@ func TestWatermarkLags(t *testing.T) {
 	behind.SetTime(base.Add(2 * time.Second))
 	drained.Set(math.MaxInt64)
 
-	lags := WatermarkLags(tr)
+	lags := run.watermarkLags()
 	if len(lags) != 3 {
 		t.Fatalf("got %d lags (%+v), want 3 (unset gauge yields no sample)", len(lags), lags)
 	}
@@ -157,8 +155,8 @@ func TestWatermarkLags(t *testing.T) {
 	if byOp["sink"] != 0 {
 		t.Fatalf("drained operator lag = %v, want 0", byOp["sink"])
 	}
-	// Operator labels are the bare names: scope prefix and the
-	// watermark-lag/ marker stripped.
+	// Operator labels are the bare names: the watermark-lag/ marker
+	// stripped.
 	for op := range byOp {
 		if op == "" || len(op) > len("source") {
 			t.Fatalf("operator label %q not stripped", op)
@@ -166,8 +164,11 @@ func TestWatermarkLags(t *testing.T) {
 	}
 }
 
+// TestWatermarkLagsNilTracer: a nil run handle (no tracing, no plane)
+// has no watermark gauges and reports no lag.
 func TestWatermarkLagsNilTracer(t *testing.T) {
-	if got := WatermarkLags(nil); got != nil {
-		t.Fatalf("nil tracer lags = %+v", got)
+	var run *Run
+	if got := run.watermarkLags(); got != nil {
+		t.Fatalf("nil run lags = %+v", got)
 	}
 }

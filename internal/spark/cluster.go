@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"beambench/internal/metrics"
 	"beambench/internal/obs"
 	"beambench/internal/simcost"
 )
@@ -28,14 +27,12 @@ type ClusterConfig struct {
 	Costs simcost.Costs
 	// Sim scales the cost model; nil charges nothing.
 	Sim *simcost.Simulator
-	// Metrics, when non-nil, receives per-stage throughput while
-	// applications run: the input stream, every named narrow stage and
-	// every output operation mark their record counts per micro-batch.
-	// Nil disables collection.
-	Metrics *metrics.Collector
-	// Trace, when non-nil, records a span per micro-batch and a
-	// watermark gauge per stateful stage. Nil disables tracing.
-	Trace *obs.Tracer
+	// Telemetry, when non-nil, receives per-stage throughput while
+	// applications run (the input stream, every named narrow stage and
+	// every output operation mark their record counts per micro-batch),
+	// a span per micro-batch and a watermark gauge per stateful stage.
+	// Nil disables all of it.
+	Telemetry *obs.Run
 }
 
 func (c *ClusterConfig) validate() error {
@@ -107,10 +104,10 @@ func (c *Cluster) Costs() simcost.Costs {
 	return c.cfg.Costs
 }
 
-// Trace exposes the cluster's tracer (nil when tracing is disabled), so
-// runner translations can record into the same timeline as the runtime.
-func (c *Cluster) Trace() *obs.Tracer {
-	return c.cfg.Trace
+// Telemetry exposes the cluster's telemetry handle (nil when disabled),
+// so runner translations report into the same run as the runtime.
+func (c *Cluster) Telemetry() *obs.Run {
+	return c.cfg.Telemetry
 }
 
 // runTask executes fn on an executor core, blocking while all cores are

@@ -236,7 +236,7 @@ func (ssc *StreamingContext) precheck() error {
 // without cache()) and run the output action. batch maps each input
 // stream to its partitions for this batch.
 func (ssc *StreamingContext) runBatch(batchID int64, batch map[*DStream][][][]byte, driver *simcost.Meter) error {
-	span := ssc.cluster.cfg.Trace.Span("spark/driver", "batch-"+strconv.FormatInt(batchID, 10))
+	span := ssc.cluster.cfg.Telemetry.Span("spark/driver", "batch-"+strconv.FormatInt(batchID, 10))
 	defer span.End()
 	driver.Charge(ssc.cluster.cfg.Costs.SparkBatch)
 	driver.Flush()
@@ -244,9 +244,7 @@ func (ssc *StreamingContext) runBatch(batchID int64, batch map[*DStream][][][]by
 	for _, in := range ssc.inputs {
 		c := int64(countRecords(batch[in]))
 		n += c
-		if col := ssc.cluster.cfg.Metrics; col != nil {
-			col.Stage(in.name).Mark(c)
-		}
+		ssc.cluster.cfg.Telemetry.Stage(in.name).Mark(c)
 	}
 	ssc.mu.Lock()
 	ssc.metrics.Batches++
@@ -273,7 +271,7 @@ func (ssc *StreamingContext) runBatch(batchID int64, batch map[*DStream][][][]by
 // remaining state (EndStream) and the emissions flow through the
 // downstream lineage and output operations like a regular batch.
 func (ssc *StreamingContext) runFlushBatch(batchID int64, driver *simcost.Meter) error {
-	span := ssc.cluster.cfg.Trace.Span("spark/driver", "flush-batch")
+	span := ssc.cluster.cfg.Telemetry.Span("spark/driver", "flush-batch")
 	defer span.End()
 	driver.Charge(ssc.cluster.cfg.Costs.SparkBatch)
 	driver.Flush()
@@ -379,10 +377,7 @@ func (ssc *StreamingContext) compute(ds *DStream, batchID int64, batch map[*DStr
 // then pass through unchanged. One task per partition, like any
 // narrow stage.
 func (ssc *StreamingContext) runAssignStage(st *DStream, parts [][][]byte) ([][][]byte, error) {
-	var handle *metrics.Stage
-	if c := ssc.cluster.cfg.Metrics; c != nil {
-		handle = c.Stage(st.name)
-	}
+	handle := ssc.cluster.cfg.Telemetry.Stage(st.name)
 	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
 	for p := range parts {
@@ -439,13 +434,10 @@ func (ssc *StreamingContext) runStatefulStage(st *DStream, batchID int64, parts 
 		}
 	}
 
-	var handle *metrics.Stage
-	if c := ssc.cluster.cfg.Metrics; c != nil {
-		handle = c.Stage(st.name)
-	}
+	handle := ssc.cluster.cfg.Telemetry.Stage(st.name)
 	// The watermark delivered into the stage this batch, for the obs
 	// monitor's per-operator lag track.
-	ssc.cluster.cfg.Trace.Gauge("watermark-lag/" + st.name).SetTime(wm)
+	ssc.cluster.cfg.Telemetry.Gauge("watermark-lag/" + st.name).SetTime(wm)
 	out := make([][][]byte, len(instances))
 	errs := make([]error, len(instances))
 	var wg sync.WaitGroup
@@ -493,12 +485,14 @@ func (ssc *StreamingContext) runStatefulStage(st *DStream, batchID int64, parts 
 // one call at task end, keeping the record loop allocation- and
 // atomic-free.
 func (ssc *StreamingContext) runNarrowStage(stages []narrowStage, batchID int64, parts [][][]byte) ([][][]byte, error) {
-	collector := ssc.cluster.cfg.Metrics
+	// Stage returns nil for every stage or for none, so a nil first
+	// handle means collection is off and tasks skip counting entirely.
+	tel := ssc.cluster.cfg.Telemetry
 	var handles []*metrics.Stage
-	if collector != nil {
+	if tel.Stage(stages[0].name) != nil {
 		handles = make([]*metrics.Stage, len(stages))
 		for i, s := range stages {
-			handles[i] = collector.Stage(s.name)
+			handles[i] = tel.Stage(s.name)
 		}
 	}
 	out := make([][][]byte, len(parts))
@@ -624,9 +618,7 @@ func (ssc *StreamingContext) runOutput(op *outputOp, batchID int64, parts [][][]
 		}
 		total += counts[p]
 	}
-	if c := ssc.cluster.cfg.Metrics; c != nil {
-		c.Stage(op.name).Mark(int64(total))
-	}
+	ssc.cluster.cfg.Telemetry.Stage(op.name).Mark(int64(total))
 	return total, nil
 }
 
